@@ -3,8 +3,7 @@
 // artifact through the same harness cmd/figbench uses, at a reduced scale
 // so `go test -bench=.` completes in minutes; custom metrics report the
 // headline numbers (speedups, hit rates) next to wall-clock time. Run
-// cmd/figbench for full-scale reproductions, and see EXPERIMENTS.md for
-// recorded paper-vs-measured results.
+// cmd/figbench for full-scale reproductions.
 package repro_bench
 
 import (

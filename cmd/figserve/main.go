@@ -1,8 +1,9 @@
 // Command figserve coordinates a fleet of figbench workers computing one
 // experiment matrix: it enumerates the matrix, serves fingerprint leases
 // over HTTP, tracks heartbeats, re-dispatches expired or straggling
-// leases, validates uploaded result entries, and assembles a merged
-// cache directory plus a final manifest — then exits.
+// leases, and validates uploaded result entries into one cache
+// directory. It is the one way to spread the matrix over several
+// processes or machines.
 //
 // Usage:
 //
@@ -10,23 +11,30 @@
 //	         [-insts N] [-apps N] [-mixes N] [-mc N] <experiment>...
 //	figserve -cache-dir fleet.cache table2 fig7
 //
-// Workers are plain figbench processes pointed at the coordinator:
+// Workers are plain figbench processes pointed at the coordinator, on
+// other machines or on this one (a local fleet is figserve plus N
+// workers on localhost):
 //
 //	figbench -worker http://coordinator:9090
 //
 // They adopt the coordinator's scale and experiment set (no local flags
 // to keep in sync) and refuse to serve a coordinator whose engine
 // version or enumerated matrix differs from their own build's. When the
-// matrix completes, the cache directory serves a warm unsharded rerun
+// matrix completes, the cache directory serves a warm rerun
 //
 //	figbench -insts ... -cache-dir DIR <experiment>...
 //
 // with misses=0 computed=0 and tables byte-identical to a solo run.
 // Restarting figserve over a partially-filled directory resumes: valid
 // entries are detected and only the missing fingerprints re-dispatched.
+//
+// figserve exits 0 once the matrix is complete and every worker it heard
+// from within the last lease TTL has been told so by a reply; a worker
+// killed mid-run stops counting one TTL after its last request.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -68,7 +76,7 @@ func main() {
 	r := harness.NewRunner(harness.Scale{
 		Insts: *insts, SingleApps: *apps, MixesPerCategory: *mixes, MCIterations: *mc,
 	})
-	spec, _, manifest, err := dispatch.BuildSpec(r, names)
+	spec, _, err := dispatch.BuildSpec(r, names)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figserve:", err)
 		os.Exit(1)
@@ -81,7 +89,6 @@ func main() {
 	coord, err := dispatch.NewCoordinator(spec, expcache.NewDirStore(*cacheDir), dispatch.Options{
 		LeaseTTL: *leaseTTL,
 		Batch:    *batch,
-		Manifest: manifest,
 		Logf:     logf,
 	})
 	if err != nil {
@@ -103,32 +110,42 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	// Progress heartbeat on stdout until the matrix completes.
+	// Serve until every live worker has been told the matrix is done,
+	// printing progress on stdout. State changes wake the loop at once;
+	// the tick also lets a silent worker age out, which no request
+	// signals.
 	tick := time.NewTicker(2 * time.Second)
 	defer tick.Stop()
 	last := Status{}
 	for {
+		changed := coord.Changed()
+		if coord.Finished() {
+			break
+		}
 		select {
 		case err := <-serveErr:
 			fmt.Fprintln(os.Stderr, "figserve:", err)
 			os.Exit(1)
+		case <-changed:
 		case <-tick.C:
 			if st := coord.Status(); st != last {
 				last = st
 				fmt.Printf("figserve: %d/%d done, %d leases active, %d uploads (%d rejected)\n",
 					st.Done, st.Total, st.Leases, st.Uploads, st.Rejected)
 			}
-		case <-coord.Done():
-			st := coord.Status()
-			fmt.Printf("figserve: complete: %d jobs (%d resumed, %d uploaded, %d rejected), manifest written to %s\n",
-				st.Total, st.Resumed, st.Uploads, st.Rejected, *cacheDir)
-			// Drain: idle workers learn of completion on their next lease
-			// poll (the finishing worker already learned from its upload
-			// ack), so keep answering for a couple of poll intervals.
-			time.Sleep(2500 * time.Millisecond)
-			srv.Close()
-			return
 		}
+	}
+	st = coord.Status()
+	fmt.Printf("figserve: complete: %d jobs (%d resumed, %d uploaded, %d rejected) in %s\n",
+		st.Total, st.Resumed, st.Uploads, st.Rejected, *cacheDir)
+	// Shutdown stops accepting and waits for in-flight replies (each one
+	// says done by now) to be delivered. The bound only matters for a
+	// client stuck mid-request; a lease long-poll ends well inside it.
+	ctx, cancel := context.WithTimeout(context.Background(), *leaseTTL)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		// The matrix is complete and on disk either way.
+		fmt.Fprintln(os.Stderr, "figserve: shutdown:", err)
 	}
 }
 

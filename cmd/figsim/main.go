@@ -4,10 +4,12 @@
 // benchmarks, eight-core mixes, multithreaded applications, or recorded
 // binary traces ("trace:FILE", see tracegen -o). Trace replay is
 // deterministic — two runs of the same trace print identical statistics.
+// The -insts default is figbench's (harness.DefaultScale), so the two
+// commands run the same per-core instruction budget unless told otherwise.
 //
 // Usage:
 //
-//	figsim -preset FIGCache-Fast -workload mcf -insts 400000
+//	figsim -preset FIGCache-Fast -workload mcf
 //	figsim -preset Base -workload mix-100-0 -insts 200000
 //	figsim -preset FIGCache-Fast -workload trace:mcf.trc
 //	figsim -list
@@ -35,6 +37,7 @@ import (
 	"strings"
 
 	"repro/internal/energy"
+	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -45,7 +48,7 @@ func main() {
 		"configuration: Base, LISA-VILLA, FIGCache-Slow, FIGCache-Fast, FIGCache-Ideal, LL-DRAM")
 	wl := flag.String("workload", "mcf",
 		"benchmark name (single-core), mix name like mix-100-0 (eight-core), mt-<app> (multithreaded), or trace:FILE (recorded trace)")
-	insts := flag.Int64("insts", 400_000, "per-core instruction target")
+	insts := flag.Int64("insts", harness.DefaultScale().Insts, "per-core instruction target")
 	seed := flag.Uint64("seed", 1, "trace generation seed")
 	list := flag.Bool("list", false, "list available presets and workloads, then exit")
 	ckptAt := flag.Int64("checkpoint-at", 0,

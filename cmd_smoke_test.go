@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -16,9 +15,9 @@ import (
 // user-facing contracts end to end: catalog listing, workload stats,
 // input validation, the record→replay loop (byte-identical statistics on
 // a second replay — the determinism promise the trace format makes), the
-// text↔binary round trip, and figmerge's refuse-by-default validation.
-// Before this test the commands were compiled but never executed by the
-// test suite.
+// text↔binary round trip, and the figserve fleet's finish, warm-rerun and
+// restart-resume contracts. Before this test the commands were compiled
+// but never executed by the test suite.
 func TestCommandsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping command execution in -short mode")
@@ -237,10 +236,12 @@ func TestCommandsSmoke(t *testing.T) {
 	}
 	scaleArgs := []string{"-insts", "8000", "-apps", "2", "-mixes", "1", "-mc", "100"}
 
-	t.Run("figserve-fleet-warm-rerun", func(t *testing.T) {
-		t.Parallel()
-		dir := filepath.Join(workDir, "fleet-cache")
-		serveArgs := append(append([]string{"-addr", "127.0.0.1:0", "-cache-dir", dir, "-lease-ttl", "10s", "-batch", "2"}, scaleArgs...), "table2", "fig7")
+	// fleet runs figserve over dir with two worker processes, requires
+	// all three to exit zero with the matrix complete, and requires the
+	// assembled directory to serve a warm rerun without recomputation.
+	fleet := func(t *testing.T, dir string, serveFlags ...string) {
+		t.Helper()
+		serveArgs := append(append(append([]string{"-addr", "127.0.0.1:0", "-cache-dir", dir, "-batch", "2"}, serveFlags...), scaleArgs...), "table2", "fig7")
 		serve := startFigserve(t, serveArgs...)
 
 		// Two worker processes split the matrix between them.
@@ -270,20 +271,34 @@ func TestCommandsSmoke(t *testing.T) {
 				t.Errorf("worker %d did not report a complete matrix:\n%s", i+1, out)
 			}
 		}
-		// The assembled directory serves a warm unsharded rerun without a
-		// single recomputation.
+		// The assembled directory serves a warm rerun without a single
+		// recomputation.
 		warm := mustRun(t, "figbench", append(append([]string{"-cache-dir", dir}, scaleArgs...), "table2", "fig7")...)
 		if !strings.Contains(warm, "misses=0 computed=0") {
 			t.Errorf("warm rerun over the fleet directory recomputed work:\n%s", warm)
 		}
+	}
+
+	t.Run("figserve-fleet-warm-rerun", func(t *testing.T) {
+		t.Parallel()
+		fleet(t, filepath.Join(workDir, "fleet-cache"), "-lease-ttl", "10s")
+	})
+
+	// At the default 30s TTL the worker that runs out of work first waits
+	// in a lease long-poll while the other finishes the matrix; it must
+	// be woken with done, and figserve must wait until it has been told.
+	t.Run("figserve-fleet-default-ttl", func(t *testing.T) {
+		t.Parallel()
+		fleet(t, filepath.Join(workDir, "fleet-default-ttl-cache"))
 	})
 
 	t.Run("figserve-restart-resume", func(t *testing.T) {
 		t.Parallel()
 		dir := filepath.Join(workDir, "resume-cache")
 		// Seed a partial directory the way an interrupted fleet leaves one:
-		// a 1-of-2 shard run computes half the table2 matrix into it.
-		mustRun(t, "figbench", append(append([]string{"-shard", "1/2", "-cache-dir", dir}, scaleArgs...), "table2")...)
+		// a solo run over one app computes one of the two table2 entries.
+		seedArgs := append([]string{"-cache-dir", dir}, scaleArgs...)
+		mustRun(t, "figbench", append(seedArgs, "-apps", "1", "table2")...)
 
 		serveArgs := append(append([]string{"-addr", "127.0.0.1:0", "-cache-dir", dir, "-lease-ttl", "10s", "-batch", "2"}, scaleArgs...), "table2")
 		// First coordinator incarnation adopts the partial entries, then
@@ -294,7 +309,7 @@ func TestCommandsSmoke(t *testing.T) {
 		}
 		out1, _ := waitFigserve(serve1)
 		if !strings.Contains(out1, "(1 resumed)") {
-			t.Fatalf("first incarnation did not resume the shard's entry:\n%s", out1)
+			t.Fatalf("first incarnation did not resume the seeded entry:\n%s", out1)
 		}
 
 		// The restarted coordinator resumes the same entry and dispatches
@@ -316,21 +331,6 @@ func TestCommandsSmoke(t *testing.T) {
 		warm := mustRun(t, "figbench", append(append([]string{"-cache-dir", dir}, scaleArgs...), "table2")...)
 		if !strings.Contains(warm, "misses=0 computed=0") {
 			t.Errorf("warm rerun after restart-resume recomputed work:\n%s", warm)
-		}
-	})
-
-	t.Run("figmerge-dry-run-refusal", func(t *testing.T) {
-		t.Parallel()
-		empty := filepath.Join(workDir, "empty-cache")
-		if err := os.MkdirAll(empty, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		out, err := run(t, "figmerge", "-dry-run", empty)
-		if err == nil {
-			t.Fatalf("figmerge -dry-run validated an empty cache directory:\n%s", out)
-		}
-		if !strings.Contains(out, "problem:") {
-			t.Errorf("refusal did not report its problems:\n%s", out)
 		}
 	})
 }

@@ -19,23 +19,18 @@ var chaosScale = harness.Scale{Insts: 10_000, SingleApps: 2, MixesPerCategory: 1
 
 var chaosExperiments = []string{"table2", "fig7"}
 
-// soloCacheDir computes the reference directory: one unsharded run of
-// the experiments into a fresh cache, manifest stamped the way a
-// completed fleet stamps its own. Byte-identity of the fleet directory
-// against this is the test's convergence oracle.
+// soloCacheDir computes the reference directory: one single-process run
+// of the experiments into a fresh cache. Byte-identity of the fleet
+// directory against this is the test's convergence oracle.
 func soloCacheDir(t *testing.T, names []string) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "solo")
-	cache := expcache.New(dir)
-	r := harness.NewRunnerWithCache(chaosScale, cache, false)
-	_, jobs, manifest, err := BuildSpec(r, names)
+	r := harness.NewRunnerWithCache(chaosScale, expcache.New(dir), false)
+	_, jobs, err := BuildSpec(r, names)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.RunJobs(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := cache.WriteManifest(manifest); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -86,23 +81,22 @@ func compareDirs(t *testing.T, fleetDir, soloDir string) {
 
 // TestDispatchConvergesUnderFaults runs a coordinator with a deliberately
 // hostile in-process fleet — a crash mid-lease, a worker that never
-// heartbeats, a double-sender, a straggler — and requires the merged
-// directory to be byte-identical to a solo unsharded run, with a warm
-// rerun over it computing nothing.
+// heartbeats, a double-sender, a straggler — and requires the fleet
+// directory to be byte-identical to a solo run, with a warm rerun over
+// it computing nothing.
 func TestDispatchConvergesUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fleet simulation")
 	}
 	fleetDir := filepath.Join(t.TempDir(), "fleet")
 	planner := harness.NewRunner(chaosScale)
-	spec, jobs, manifest, err := BuildSpec(planner, chaosExperiments)
+	spec, jobs, err := BuildSpec(planner, chaosExperiments)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coord, err := NewCoordinator(spec, expcache.NewDirStore(fleetDir), Options{
 		LeaseTTL: 500 * time.Millisecond, // expires under the dropped-heartbeat worker mid-compute
 		Batch:    2,
-		Manifest: manifest,
 		Logf:     t.Logf,
 	})
 	if err != nil {
@@ -166,10 +160,10 @@ func TestDispatchConvergesUnderFaults(t *testing.T) {
 
 	compareDirs(t, fleetDir, soloCacheDir(t, chaosExperiments))
 
-	// A warm unsharded rerun over the fleet directory computes nothing.
+	// A warm rerun over the fleet directory computes nothing.
 	warm := expcache.New(fleetDir)
 	wr := harness.NewRunnerWithCache(chaosScale, warm, false)
-	_, wjobs, _, err := BuildSpec(wr, chaosExperiments)
+	_, wjobs, err := BuildSpec(wr, chaosExperiments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +186,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "fleet")
 	names := []string{"table2"}
 	planner := harness.NewRunner(chaosScale)
-	spec, jobs, manifest, err := BuildSpec(planner, names)
+	spec, jobs, err := BuildSpec(planner, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +196,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 
 	// Incarnation one: the only worker crashes after one upload, then the
 	// coordinator goes down with the matrix incomplete.
-	c1, err := NewCoordinator(spec, expcache.NewDirStore(dir), Options{LeaseTTL: 2 * time.Second, Batch: 1, Manifest: manifest, Logf: t.Logf})
+	c1, err := NewCoordinator(spec, expcache.NewDirStore(dir), Options{LeaseTTL: 2 * time.Second, Batch: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +211,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}
 
 	// Incarnation two: resumes the finished entry, dispatches the rest.
-	c2, err := NewCoordinator(spec, expcache.NewDirStore(dir), Options{LeaseTTL: 2 * time.Second, Batch: 2, Manifest: manifest, Logf: t.Logf})
+	c2, err := NewCoordinator(spec, expcache.NewDirStore(dir), Options{LeaseTTL: 2 * time.Second, Batch: 2, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

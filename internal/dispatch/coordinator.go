@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -12,7 +13,10 @@ import (
 
 // SpecFormatVersion identifies the dispatch protocol's wire shape.
 // Workers refuse to serve a coordinator speaking another version.
-const SpecFormatVersion = 1
+//
+// Version 2: leases are long-polled (no retry_millis), requests name
+// their worker, and heartbeat replies carry the matrix-done flag.
+const SpecFormatVersion = 2
 
 // Spec describes the matrix a coordinator is dispatching: everything a
 // worker needs to rebuild the identical job index from its own binary.
@@ -41,14 +45,14 @@ type Spec struct {
 
 // Lease is one grant of work: compute these fingerprints and upload
 // their entries before the deadline (or keep heartbeating to extend it).
+// A lease that is neither done nor carries fingerprints means the
+// long-poll ran out with everything still claimed by live workers: poll
+// again now.
 type Lease struct {
 	ID           string   `json:"id"`
 	Fingerprints []string `json:"fingerprints"`
 	// Done: the matrix is complete; the worker should exit.
 	Done bool `json:"done"`
-	// RetryMillis (with an empty fingerprint list) asks the worker to
-	// poll again later: all remaining work is leased to live workers.
-	RetryMillis int64 `json:"retry_millis,omitempty"`
 }
 
 // Status is a point-in-time progress snapshot.
@@ -89,10 +93,6 @@ type Options struct {
 	LeaseTTL time.Duration
 	// Batch is the maximum fingerprints per lease (default 4).
 	Batch int
-	// Manifest, when set, is written into the store's directory as soon
-	// as the matrix completes (and by Close), so the finished directory
-	// is self-describing the way a figbench -shard directory is.
-	Manifest *expcache.Manifest
 	// Now overrides the clock (tests). Defaults to time.Now.
 	Now func() time.Time
 	// Logf, when set, receives one line per protocol event.
@@ -113,6 +113,10 @@ type lease struct {
 
 // Coordinator owns one fleet run over one matrix. All methods are safe
 // for concurrent use (the HTTP handler calls them from many requests).
+//
+// Workers are named by the ID on each request. The coordinator records
+// when it last heard from each one and whether a reply has told it the
+// matrix is done; Finished combines the two into the exit rule.
 type Coordinator struct {
 	spec  Spec
 	store expcache.Store
@@ -126,6 +130,9 @@ type Coordinator struct {
 	resumed  int
 	uploads  int
 	rejected int
+	seen     map[string]time.Time // worker -> last request
+	told     map[string]bool      // workers whose reply said the matrix is done
+	changed  chan struct{}        // closed and replaced on every state change
 	complete chan struct{}
 	opts     Options
 }
@@ -160,6 +167,9 @@ func NewCoordinator(spec Spec, store expcache.Store, opts Options) (*Coordinator
 		jobs:     make(map[string]*jobState, len(spec.Fingerprints)),
 		order:    spec.Fingerprints,
 		leases:   make(map[string]*lease),
+		seen:     make(map[string]time.Time),
+		told:     make(map[string]bool),
+		changed:  make(chan struct{}),
 		complete: make(chan struct{}),
 		opts:     opts,
 	}
@@ -205,19 +215,71 @@ func NewCoordinator(spec Spec, store expcache.Store, opts Options) (*Coordinator
 // Spec returns the matrix description served to workers.
 func (c *Coordinator) Spec() Spec { return c.spec }
 
-// Done is closed when every matrix fingerprint has a validated entry
-// (and the final manifest, if configured, has been written).
+// Done is closed when every matrix fingerprint has a validated entry.
 func (c *Coordinator) Done() <-chan struct{} { return c.complete }
 
-// Complete reports whether the matrix is done, without the lease
-// bookkeeping Status performs.
-func (c *Coordinator) Complete() bool {
-	select {
-	case <-c.complete:
-		return true
-	default:
+// Changed returns a channel that is closed at the next state change: a
+// job finished, a lease was retired or expired, the matrix completed, or
+// a worker was told it is done. Long-polls and figserve's exit loop wait
+// on it.
+func (c *Coordinator) Changed() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.changed
+}
+
+// Finished reports whether the coordinator may stop serving: the matrix
+// is complete and every worker heard from within the last lease TTL has
+// been told so by a reply. A worker that went silent for a full TTL —
+// killed, or cut off — no longer holds the coordinator open.
+func (c *Coordinator) Finished() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done < len(c.order) {
 		return false
 	}
+	now := c.opts.Now()
+	for worker, at := range c.seen {
+		if !c.told[worker] && now.Sub(at) < c.opts.LeaseTTL {
+			return false
+		}
+	}
+	return true
+}
+
+// see records a request from worker (anonymous requests are not
+// tracked: they cannot be told anything later).
+func (c *Coordinator) see(worker string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seeLocked(worker)
+}
+
+func (c *Coordinator) seeLocked(worker string) {
+	if worker != "" {
+		c.seen[worker] = c.opts.Now()
+	}
+}
+
+// tellLocked reports whether the matrix is complete, recording that the
+// reply being built tells worker so. After completion every successful
+// reply says done, so this is the only place a worker becomes told.
+func (c *Coordinator) tellLocked(worker string) bool {
+	if c.done < len(c.order) {
+		return false
+	}
+	if !c.told[worker] {
+		c.told[worker] = true
+		c.opts.Logf("dispatch: %s told the matrix is done", worker)
+		c.signalLocked()
+	}
+	return true
+}
+
+// signalLocked wakes everything waiting on Changed.
+func (c *Coordinator) signalLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
 }
 
 // Status reports progress.
@@ -239,6 +301,7 @@ func (c *Coordinator) Status() Status {
 // no background timer is needed (and tests drive time explicitly).
 func (c *Coordinator) expireLocked() {
 	now := c.opts.Now()
+	expired := false
 	for id, l := range c.leases {
 		if now.Before(l.deadline) {
 			continue
@@ -249,22 +312,53 @@ func (c *Coordinator) expireLocked() {
 			}
 		}
 		delete(c.leases, id)
+		expired = true
 		c.opts.Logf("dispatch: lease %s (%s) expired; %d fingerprints back in the pool", id, l.worker, len(l.fps))
+	}
+	if expired {
+		c.signalLocked()
 	}
 }
 
-// Lease grants up to Batch fingerprints to a worker. Unleased pending
-// jobs are preferred, in matrix order; when none remain, unfinished jobs
-// whose covering lease has gone quiet (no heartbeat for half the TTL)
-// are re-dispatched early — straggler cover ahead of full expiry, up to
-// maxLeasesPerJob concurrent claims per fingerprint. An empty, non-done
-// lease means everything left is freshly claimed by live workers: poll
-// again after RetryMillis.
+// Lease grants up to Batch fingerprints to a worker, without waiting.
+// Unleased pending jobs are preferred, in matrix order; when none
+// remain, unfinished jobs whose covering lease has gone quiet (no
+// heartbeat for half the TTL) are re-dispatched early — straggler cover
+// ahead of full expiry, up to maxLeasesPerJob concurrent claims per
+// fingerprint. An empty, non-done lease means everything left is freshly
+// claimed by live workers.
 func (c *Coordinator) Lease(worker string) Lease {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.leaseLocked(worker)
+}
+
+// Poll is Lease as a long-poll: while nothing can be leased it waits for
+// the next state change and tries again, until ctx ends. It returns a
+// lease, done, or — when ctx ends first — an empty lease. Expiry and
+// straggler cover are driven by the clock, not by a signal, so callers
+// bound ctx well inside the lease TTL and poll again at once.
+func (c *Coordinator) Poll(ctx context.Context, worker string) Lease {
+	for {
+		c.mu.Lock()
+		l := c.leaseLocked(worker)
+		changed := c.changed
+		c.mu.Unlock()
+		if l.Done || len(l.Fingerprints) > 0 {
+			return l
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return l
+		}
+	}
+}
+
+func (c *Coordinator) leaseLocked(worker string) Lease {
+	c.seeLocked(worker)
 	c.expireLocked()
-	if c.done == len(c.order) {
+	if c.tellLocked(worker) {
 		return Lease{Done: true}
 	}
 	// fresh counts, per fingerprint, the covering leases heartbeated
@@ -300,7 +394,7 @@ func (c *Coordinator) Lease(worker string) Lease {
 		}
 	}
 	if len(fps) == 0 {
-		return Lease{RetryMillis: c.opts.LeaseTTL.Milliseconds() / 4}
+		return Lease{}
 	}
 	c.seq++
 	l := &lease{
@@ -314,20 +408,25 @@ func (c *Coordinator) Lease(worker string) Lease {
 	return Lease{ID: l.id, Fingerprints: fps}
 }
 
-// Heartbeat extends a lease's deadline. ErrUnknownLease reports a lease
-// that expired (its work may already be re-dispatched) or never existed;
-// the worker should finish and upload anyway — entries are accepted on
-// their own validity, not their lease's.
-func (c *Coordinator) Heartbeat(id string) error {
+// Heartbeat extends a lease's deadline. The bool reports the matrix
+// complete: the worker should drop the lease and exit. ErrUnknownLease
+// reports a lease that expired (its work may already be re-dispatched)
+// or never existed; the worker should finish and upload anyway —
+// entries are accepted on their own validity, not their lease's.
+func (c *Coordinator) Heartbeat(worker, id string) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.seeLocked(worker)
+	if c.tellLocked(worker) {
+		return true, nil
+	}
 	c.expireLocked()
 	l, ok := c.leases[id]
 	if !ok {
-		return ErrUnknownLease
+		return false, ErrUnknownLease
 	}
 	l.deadline = c.opts.Now().Add(c.opts.LeaseTTL)
-	return nil
+	return false, nil
 }
 
 // Upload accepts one encoded result entry for fp. Validation is exactly
@@ -337,37 +436,40 @@ func (c *Coordinator) Heartbeat(id string) error {
 // with identical bytes is acknowledged idempotently, different bytes are
 // ErrConflict (kept out of the store). Leases fully covered by done
 // fingerprints are retired immediately, so a finished worker's next
-// Lease call reflects the new pool.
-func (c *Coordinator) Upload(fp string, data []byte) error {
+// Lease call reflects the new pool. The bool of an accepted upload
+// reports the matrix complete.
+func (c *Coordinator) Upload(worker, fp string, data []byte) (bool, error) {
 	if !expcache.IsFingerprintHex(fp) {
-		return fmt.Errorf("%w: %.12q is not a 64-hex fingerprint", ErrOutsideMatrix, fp)
+		return false, fmt.Errorf("%w: %.12q is not a 64-hex fingerprint", ErrOutsideMatrix, fp)
 	}
-	if _, err := expcache.DecodeEntry(data, fp); err != nil {
-		c.reject()
-		return err
-	}
+	_, decodeErr := expcache.DecodeEntry(data, fp)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.seeLocked(worker)
+	if decodeErr != nil {
+		c.rejected++
+		return false, decodeErr
+	}
 	c.expireLocked()
 	js := c.jobs[fp]
 	if js == nil {
 		c.rejected++
-		return fmt.Errorf("%w: %.12s...", ErrOutsideMatrix, fp)
+		return false, fmt.Errorf("%w: %.12s...", ErrOutsideMatrix, fp)
 	}
 	if js.done {
 		prev, ok, err := c.store.GetEntry(fp)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if ok && string(prev) == string(data) {
 			c.uploads++ // duplicate of the accepted bytes: idempotent ack
-			return nil
+			return c.tellLocked(worker), nil
 		}
 		c.rejected++
-		return fmt.Errorf("%w: %.12s...", ErrConflict, fp)
+		return false, fmt.Errorf("%w: %.12s...", ErrConflict, fp)
 	}
 	if err := c.store.PutEntry(fp, data); err != nil {
-		return err
+		return false, err
 	}
 	js.done = true
 	c.done++
@@ -376,14 +478,8 @@ func (c *Coordinator) Upload(fp string, data []byte) error {
 	if c.done == len(c.order) {
 		c.finishLocked()
 	}
-	return nil
-}
-
-// reject counts a rejected upload (outside the state lock).
-func (c *Coordinator) reject() {
-	c.mu.Lock()
-	c.rejected++
-	c.mu.Unlock()
+	c.signalLocked()
+	return c.tellLocked(worker), nil
 }
 
 // retireCoveredLocked drops leases whose every fingerprint is done.
@@ -402,32 +498,13 @@ func (c *Coordinator) retireCoveredLocked() {
 	}
 }
 
-// finishLocked marks the matrix complete: writes the final manifest (if
-// configured) and closes Done. Idempotent.
+// finishLocked marks the matrix complete and closes Done. Idempotent.
 func (c *Coordinator) finishLocked() {
 	select {
 	case <-c.complete:
 		return
 	default:
 	}
-	if c.opts.Manifest != nil {
-		if err := c.writeManifest(); err != nil {
-			// The entries are all on disk and valid; a manifest write
-			// failure degrades the directory to "mergeable with -force",
-			// it does not un-complete the matrix.
-			c.opts.Logf("dispatch: writing final manifest: %v", err)
-		}
-	}
 	c.leases = make(map[string]*lease)
 	close(c.complete)
-}
-
-// writeManifest persists the final manifest next to the entries. Only
-// directory-backed stores can hold one; others are left manifest-less.
-func (c *Coordinator) writeManifest() error {
-	ds, ok := c.store.(*expcache.DirStore)
-	if !ok {
-		return fmt.Errorf("dispatch: store has no directory for a manifest")
-	}
-	return expcache.New(ds.Dir()).WriteManifest(c.opts.Manifest)
 }

@@ -1,9 +1,14 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,9 +65,9 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 	if len(l1.Fingerprints) != 3 {
 		t.Fatalf("first lease got %d fingerprints, want 3", len(l1.Fingerprints))
 	}
-	// Everything is freshly leased: a second worker is told to retry.
-	if l2 := c.Lease("w2"); len(l2.Fingerprints) != 0 || l2.Done || l2.RetryMillis <= 0 {
-		t.Fatalf("second lease should be an empty retry, got %+v", l2)
+	// Everything is freshly leased: a second worker gets an empty lease.
+	if l2 := c.Lease("w2"); len(l2.Fingerprints) != 0 || l2.Done {
+		t.Fatalf("second lease should be empty, got %+v", l2)
 	}
 	// Past the deadline the lease expires and the work is re-dispatched.
 	clk.Advance(11 * time.Second)
@@ -70,11 +75,11 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 	if len(l3.Fingerprints) != 3 {
 		t.Fatalf("post-expiry lease got %d fingerprints, want all 3", len(l3.Fingerprints))
 	}
-	if err := c.Heartbeat(l1.ID); !errors.Is(err, ErrUnknownLease) {
+	if _, err := c.Heartbeat("w1", l1.ID); !errors.Is(err, ErrUnknownLease) {
 		t.Fatalf("heartbeat on expired lease: got %v, want ErrUnknownLease", err)
 	}
 	// The expired worker's late upload is still welcome.
-	if err := c.Upload(fps[0], entries[fps[0]]); err != nil {
+	if _, err := c.Upload("w1", fps[0], entries[fps[0]]); err != nil {
 		t.Fatalf("late upload after expiry: %v", err)
 	}
 }
@@ -87,7 +92,7 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	l := c.Lease("w1")
 	for i := 0; i < 5; i++ {
 		clk.Advance(8 * time.Second) // inside the TTL each time
-		if err := c.Heartbeat(l.ID); err != nil {
+		if _, err := c.Heartbeat("w1", l.ID); err != nil {
 			t.Fatalf("heartbeat %d: %v", i, err)
 		}
 	}
@@ -129,10 +134,10 @@ func TestUploadValidationAndConflicts(t *testing.T) {
 	fps, entries := testMatrix(t, 2)
 	c, _ := newTestCoordinator(t, fps, testOptions(clk, 10*time.Second, 2))
 
-	if err := c.Upload("zz", entries[fps[0]]); !errors.Is(err, ErrOutsideMatrix) {
+	if _, err := c.Upload("w1", "zz", entries[fps[0]]); !errors.Is(err, ErrOutsideMatrix) {
 		t.Fatalf("non-hex fingerprint: got %v, want ErrOutsideMatrix", err)
 	}
-	if err := c.Upload(fps[0], []byte("{")); !errors.Is(err, expcache.ErrEntryUnparsable) {
+	if _, err := c.Upload("w1", fps[0], []byte("{")); !errors.Is(err, expcache.ErrEntryUnparsable) {
 		t.Fatalf("garbage upload: got %v, want ErrEntryUnparsable", err)
 	}
 	// A valid entry for a fingerprint outside the matrix.
@@ -142,19 +147,19 @@ func TestUploadValidationAndConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Upload(foreign.String(), data); !errors.Is(err, ErrOutsideMatrix) {
+	if _, err := c.Upload("w1", foreign.String(), data); !errors.Is(err, ErrOutsideMatrix) {
 		t.Fatalf("foreign upload: got %v, want ErrOutsideMatrix", err)
 	}
 	// Entry bytes whose embedded fingerprint disagrees with the URL's.
-	if err := c.Upload(fps[1], entries[fps[0]]); !errors.Is(err, expcache.ErrEntryFingerprint) {
+	if _, err := c.Upload("w1", fps[1], entries[fps[0]]); !errors.Is(err, expcache.ErrEntryFingerprint) {
 		t.Fatalf("mismatched upload: got %v, want ErrEntryFingerprint", err)
 	}
 
-	if err := c.Upload(fps[0], entries[fps[0]]); err != nil {
+	if _, err := c.Upload("w1", fps[0], entries[fps[0]]); err != nil {
 		t.Fatalf("first valid upload: %v", err)
 	}
 	// Identical duplicate: idempotent ack. Different bytes: conflict.
-	if err := c.Upload(fps[0], entries[fps[0]]); err != nil {
+	if _, err := c.Upload("w1", fps[0], entries[fps[0]]); err != nil {
 		t.Fatalf("identical duplicate: %v", err)
 	}
 	var fp0 sim.Fingerprint
@@ -163,7 +168,7 @@ func TestUploadValidationAndConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Upload(fps[0], other); !errors.Is(err, ErrConflict) {
+	if _, err := c.Upload("w1", fps[0], other); !errors.Is(err, ErrConflict) {
 		t.Fatalf("conflicting upload: got %v, want ErrConflict", err)
 	}
 
@@ -171,16 +176,13 @@ func TestUploadValidationAndConflicts(t *testing.T) {
 	if st.Done != 1 || st.Rejected != 4 {
 		t.Fatalf("status after rejections: %+v (want done=1 rejected=4)", st)
 	}
-	if err := c.Upload(fps[1], entries[fps[1]]); err != nil {
+	if _, err := c.Upload("w1", fps[1], entries[fps[1]]); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-c.Done():
 	default:
 		t.Fatal("matrix complete but Done not closed")
-	}
-	if !c.Complete() {
-		t.Fatal("Complete() false after Done closed")
 	}
 	if l := c.Lease("w1"); !l.Done {
 		t.Fatalf("lease after completion should say done, got %+v", l)
@@ -224,7 +226,7 @@ func TestResumeFromPartialStore(t *testing.T) {
 		t.Fatalf("post-resume lease: %+v, want exactly [%s %s]", l, fps[1], fps[2])
 	}
 	for _, fp := range l.Fingerprints {
-		if err := c.Upload(fp, entries[fp]); err != nil {
+		if _, err := c.Upload("w1", fp, entries[fp]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,5 +248,180 @@ func TestResumeFromPartialStore(t *testing.T) {
 	case <-c2.Done():
 	default:
 		t.Fatal("complete-at-construction coordinator must close Done immediately")
+	}
+}
+
+// completeBy uploads every matrix entry as worker, requiring the last
+// upload's ack (and only the last) to report the matrix done.
+func completeBy(t *testing.T, c *Coordinator, worker string, fps []string, entries map[string][]byte) {
+	t.Helper()
+	for i, fp := range fps {
+		done, err := c.Upload(worker, fp, entries[fp])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := i == len(fps)-1; done != want {
+			t.Fatalf("upload %d of %d acked done=%v, want %v", i+1, len(fps), done, want)
+		}
+	}
+}
+
+// TestIdlePollerToldDoneAtCompletion pins the finish race: worker A sits
+// in a lease long-poll with nothing to lease while worker B's upload
+// completes the matrix. A's poll must wake with done — no clock advance,
+// no retry delay — and only then may the coordinator exit.
+func TestIdlePollerToldDoneAtCompletion(t *testing.T) {
+	clk := newFakeClock()
+	fps, entries := testMatrix(t, 2)
+	// Once armed, the clock reports A's poll entering the coordinator. A
+	// poll reads the clock first inside the critical section in which it
+	// finds nothing to lease and takes the change channel it then waits
+	// on, so B's upload, which needs the same lock, comes after that.
+	var armed atomic.Bool
+	entered := make(chan struct{}, 1)
+	opts := testOptions(clk, 30*time.Second, 2)
+	opts.Now = func() time.Time {
+		if armed.Load() {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+		}
+		return clk.Now()
+	}
+	c, _ := newTestCoordinator(t, fps, opts)
+	if l := c.Lease("B"); len(l.Fingerprints) != 2 {
+		t.Fatalf("B should hold the whole matrix, got %+v", l)
+	}
+
+	armed.Store(true)
+	polled := make(chan Lease, 1)
+	go func() { polled <- c.Poll(context.Background(), "A") }()
+	select {
+	case <-entered:
+		armed.Store(false)
+	case <-time.After(10 * time.Second):
+		t.Fatal("A's long-poll never reached the coordinator")
+	}
+
+	completeBy(t, c, "B", fps, entries)
+	select {
+	case l := <-polled:
+		if !l.Done {
+			t.Fatalf("idle poller woke with %+v, want done", l)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("completion did not wake the idle long-poll")
+	}
+	if !c.Finished() {
+		t.Fatal("both workers told, but the coordinator is not finished")
+	}
+}
+
+// TestFinishedWaitsForEveryLiveWorker: the coordinator must not report
+// itself ready to exit while a worker it heard from inside the last TTL
+// has not been told the matrix is done.
+func TestFinishedWaitsForEveryLiveWorker(t *testing.T) {
+	clk := newFakeClock()
+	fps, entries := testMatrix(t, 2)
+	c, _ := newTestCoordinator(t, fps, testOptions(clk, 30*time.Second, 2))
+	c.see("C") // fetched the spec, has not asked for work yet
+	c.Lease("B")
+	if l := c.Lease("A"); l.Done || len(l.Fingerprints) != 0 {
+		t.Fatalf("A should get an empty lease, got %+v", l)
+	}
+	completeBy(t, c, "B", fps, entries)
+	if c.Finished() {
+		t.Fatal("finished while A and C have not been told")
+	}
+	if l := c.Lease("A"); !l.Done {
+		t.Fatalf("A's lease after completion: %+v, want done", l)
+	}
+	if c.Finished() {
+		t.Fatal("finished while C has not been told")
+	}
+	if l := c.Lease("C"); !l.Done {
+		t.Fatalf("C's lease after completion: %+v, want done", l)
+	}
+	if !c.Finished() {
+		t.Fatal("every worker told, but the coordinator is not finished")
+	}
+}
+
+// TestStragglerLearnsDone: a worker still computing a lease that another
+// worker's uploads completed learns done from its next heartbeat or
+// upload, even though its lease was retired at completion.
+func TestStragglerLearnsDone(t *testing.T) {
+	for _, via := range []string{"heartbeat", "upload"} {
+		t.Run(via, func(t *testing.T) {
+			clk := newFakeClock()
+			fps, entries := testMatrix(t, 2)
+			c, _ := newTestCoordinator(t, fps, testOptions(clk, 12*time.Second, 2))
+			la := c.Lease("A")
+			clk.Advance(7 * time.Second) // A's lease goes quiet: straggler cover
+			if l := c.Lease("B"); len(l.Fingerprints) != 2 {
+				t.Fatalf("B should cover A's quiet lease, got %+v", l)
+			}
+			completeBy(t, c, "B", fps, entries)
+			if c.Finished() {
+				t.Fatal("finished while straggler A, seen 7s ago, has not been told")
+			}
+			var done bool
+			var err error
+			if via == "heartbeat" {
+				done, err = c.Heartbeat("A", la.ID)
+			} else {
+				done, err = c.Upload("A", fps[0], entries[fps[0]])
+			}
+			if err != nil || !done {
+				t.Fatalf("straggler %s reply: done=%v err=%v, want done", via, done, err)
+			}
+			if !c.Finished() {
+				t.Fatal("straggler told, but the coordinator is not finished")
+			}
+		})
+	}
+}
+
+// TestKilledWorkerAgesOut: a worker that dies without a word holds the
+// finished coordinator open for one lease TTL after it was last heard
+// from, and no longer.
+func TestKilledWorkerAgesOut(t *testing.T) {
+	clk := newFakeClock()
+	fps, entries := testMatrix(t, 2)
+	const ttl = 12 * time.Second
+	c, _ := newTestCoordinator(t, fps, testOptions(clk, ttl, 2))
+	c.Lease("A") // A takes everything, then is killed
+	clk.Advance(7 * time.Second)
+	c.Lease("B")
+	completeBy(t, c, "B", fps, entries)
+	clk.Advance(ttl - 7*time.Second - time.Millisecond)
+	if c.Finished() {
+		t.Fatal("finished before the killed worker aged out")
+	}
+	clk.Advance(time.Millisecond)
+	if !c.Finished() {
+		t.Fatal("killed worker did not age out after one TTL")
+	}
+}
+
+// TestProtocolFormatMismatchRefused: workers and coordinators of
+// different protocol formats refuse each other at the spec check. A
+// format-1 worker (retry_millis polling, heartbeats without a worker or
+// a done reply) refuses this coordinator because its spec says format
+// 2; this worker refuses a format-1 coordinator the same way.
+func TestProtocolFormatMismatchRefused(t *testing.T) {
+	fps, _ := testMatrix(t, 1)
+	c, _ := newTestCoordinator(t, fps, testOptions(newFakeClock(), 10*time.Second, 1))
+	if got := c.Spec().Format; got != SpecFormatVersion || got == 1 {
+		t.Fatalf("coordinator advertises format %d, want %d (not 1)", got, SpecFormatVersion)
+	}
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, Spec{Format: 1, Engine: sim.EngineVersion, Fingerprints: fps})
+	}))
+	defer old.Close()
+	err := RunWorker(old.URL, WorkerOptions{ID: "w"})
+	if err == nil || !strings.Contains(err.Error(), "protocol format 1") {
+		t.Fatalf("worker against a format-1 coordinator: %v, want a protocol format refusal", err)
 	}
 }

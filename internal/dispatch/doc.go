@@ -1,11 +1,9 @@
-// Package dispatch turns the manual multi-machine shard workflow
-// ("figbench -shard K/N on each box, scp, figmerge") into a coordinated
-// fleet: a Coordinator enumerated over the experiment matrix serves
-// fingerprint leases to workers over HTTP, tracks heartbeats and
-// deadlines, re-dispatches expired or straggling leases, validates
-// uploaded result entries with the exact expcache decode rules the disk
-// cache applies, and assembles a merged cache directory plus a final
-// 1-of-1 shard manifest — so a warm figbench rerun against the
+// Package dispatch is the one way to spread the experiment matrix over
+// several processes or machines: a Coordinator enumerated over the
+// matrix serves fingerprint leases to workers over HTTP, tracks
+// heartbeats and deadlines, re-dispatches expired or straggling leases,
+// and validates uploaded result entries with the exact expcache decode
+// rule the disk cache applies — so a warm figbench rerun against the
 // coordinator's directory recomputes nothing and renders byte-identical
 // tables to a solo run.
 //
@@ -22,9 +20,15 @@
 //     same build produce byte-identical entries and every failure path
 //     (crash, stall, duplicate, restart) converges to the same bytes.
 //
+// A run ends by handshake, not by timing: lease requests long-poll on
+// the coordinator's change signal, every reply after completion tells
+// the worker the matrix is done, and the coordinator is Finished once
+// every worker heard from within the last lease TTL has been told.
+//
 // Safety under faults is exercised in-process by the chaos test
 // (TestDispatchConvergesUnderFaults) via Faults, the worker-side fault
 // injection hooks, and end to end by the CI dispatch job. See
 // ARCHITECTURE.md "Distributed dispatch" for the lease protocol,
-// re-dispatch rules, upload validation, and resume semantics.
+// re-dispatch rules, upload validation, the exit rule, and resume
+// semantics.
 package dispatch

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -11,18 +12,27 @@ import (
 // HTTP protocol. All bodies are JSON except entry uploads, whose body is
 // the raw encoded entry (it already is a self-validating JSON envelope).
 //
-//	GET  /v1/spec           -> Spec
-//	POST /v1/lease          {"worker":ID} -> Lease
-//	POST /v1/heartbeat      {"lease":ID}  -> 204 | 410 (expired/unknown)
-//	PUT  /v1/entry/{fp}     entry bytes   -> 200 {"done":bool}
-//	                                         400 invalid entry
-//	                                         409 conflicting bytes
-//	                                         422 outside the matrix
-//	GET  /v1/status         -> Status
+//	GET  /v1/spec?worker=ID           -> Spec
+//	POST /v1/lease     {"worker":ID}  -> Lease (long-poll)
+//	POST /v1/heartbeat {"worker":ID,"lease":ID}
+//	                                  -> 200 {"done":bool}
+//	                                     410 expired/unknown lease
+//	PUT  /v1/entry/{fp}?worker=ID     entry bytes
+//	                                  -> 200 {"done":bool}
+//	                                     400 invalid entry
+//	                                     409 conflicting bytes
+//	                                     422 outside the matrix
+//	GET  /v1/status                   -> Status
 //
-// The upload response's done flag tells the finishing worker the matrix
-// is complete without another lease round-trip — the coordinator may be
-// gone by the time a follow-up poll would arrive.
+// Every request names its worker, so the coordinator knows who it has
+// heard from. Once the matrix is complete every lease, heartbeat and
+// upload reply says done, and the worker exits on the first one it
+// gets; the coordinator exits once every worker it heard from within
+// the last lease TTL has been told (Coordinator.Finished).
+//
+// A lease request that finds nothing to lease waits for a state change
+// for at most LeaseTTL/pollWaitDivisor, then answers with an empty
+// lease: poll again now.
 //
 // A worker treats 410 on heartbeat as "keep computing, upload anyway"
 // (entries are judged on their own validity) and 409 on upload as fatal
@@ -30,6 +40,16 @@ import (
 
 // maxUploadBytes bounds an entry upload; real entries are a few KB.
 const maxUploadBytes = 16 << 20
+
+// pollWaitDivisor bounds a lease long-poll to TTL/4. Lease expiry and
+// straggler cover (a lease quiet for TTL/2) are noticed by the clock,
+// not signalled, so a waiting worker must re-ask well inside TTL/2.
+const pollWaitDivisor = 4
+
+// doneReply is the heartbeat and upload acknowledgement.
+type doneReply struct {
+	Done bool `json:"done"`
+}
 
 // Handler serves the dispatch protocol over c.
 func (c *Coordinator) Handler() http.Handler {
@@ -39,6 +59,7 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
 		}
+		c.see(r.URL.Query().Get("worker"))
 		writeJSON(w, c.Spec())
 	})
 	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
@@ -53,7 +74,9 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, "bad lease request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, c.Lease(req.Worker))
+		ctx, cancel := context.WithTimeout(r.Context(), c.opts.LeaseTTL/pollWaitDivisor)
+		defer cancel()
+		writeJSON(w, c.Poll(ctx, req.Worker))
 	})
 	mux.HandleFunc("/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -61,17 +84,19 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		var req struct {
-			Lease string `json:"lease"`
+			Worker string `json:"worker"`
+			Lease  string `json:"lease"`
 		}
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 			http.Error(w, "bad heartbeat: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if err := c.Heartbeat(req.Lease); err != nil {
+		done, err := c.Heartbeat(req.Worker, req.Lease)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusGone)
 			return
 		}
-		w.WriteHeader(http.StatusNoContent)
+		writeJSON(w, doneReply{done})
 	})
 	mux.HandleFunc("/v1/entry/", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPut {
@@ -88,9 +113,9 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, "entry too large", http.StatusRequestEntityTooLarge)
 			return
 		}
-		switch err := c.Upload(fp, data); {
+		switch done, err := c.Upload(r.URL.Query().Get("worker"), fp, data); {
 		case err == nil:
-			writeJSON(w, map[string]bool{"done": c.Complete()})
+			writeJSON(w, doneReply{done})
 		case errors.Is(err, ErrConflict):
 			http.Error(w, err.Error(), http.StatusConflict)
 		case errors.Is(err, ErrOutsideMatrix):

@@ -1,25 +1,23 @@
 package dispatch
 
 import (
-	"repro/internal/expcache"
 	"repro/internal/harness"
 	"repro/internal/sim"
 )
 
 // BuildSpec enumerates the named experiments' job matrix at the runner's
 // scale (plan-only; nothing is simulated) and returns the dispatch Spec
-// describing it, the canonical job list, and the final 1-of-1 manifest a
-// completed fleet directory should carry. Coordinator side of the
+// describing it and the canonical job list. Coordinator side of the
 // matrix-agreement handshake; workers rebuild the same thing from the
 // Spec and compare.
-func BuildSpec(r *harness.Runner, names []string) (Spec, []sim.Config, *expcache.Manifest, error) {
+func BuildSpec(r *harness.Runner, names []string) (Spec, []sim.Config, error) {
 	names, builders, err := r.SelectExperiments(names)
 	if err != nil {
-		return Spec{}, nil, nil, err
+		return Spec{}, nil, err
 	}
 	jobs, err := r.EnumerateJobs(builders...)
 	if err != nil {
-		return Spec{}, nil, nil, err
+		return Spec{}, nil, err
 	}
 	fps := make([]string, len(jobs))
 	for i, cfg := range jobs {
@@ -36,5 +34,5 @@ func BuildSpec(r *harness.Runner, names []string) (Spec, []sim.Config, *expcache
 		Experiments:  names,
 		Fingerprints: fps,
 	}
-	return spec, jobs, r.ShardManifest(jobs, 1, 1, names), nil
+	return spec, jobs, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"time"
@@ -45,7 +46,8 @@ type Faults struct {
 
 // WorkerOptions configure RunWorker. The zero value works.
 type WorkerOptions struct {
-	// ID names the worker in coordinator logs (default "worker").
+	// ID names the worker to the coordinator (default "worker"). The
+	// coordinator tracks workers by ID, so each must be unique.
 	ID string
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
@@ -65,7 +67,8 @@ type WorkerOptions struct {
 // engine or matrix drift), then loop lease -> simulate -> upload. The
 // worker computes through a private in-memory result cache, so gang
 // execution and System reuse work exactly as in a solo figbench run.
-// Returns nil when the coordinator reports the matrix done.
+// Returns nil as soon as any coordinator reply reports the matrix done,
+// abandoning whatever redundant work is still in flight.
 func RunWorker(baseURL string, opts WorkerOptions) error {
 	if opts.ID == "" {
 		opts.ID = "worker"
@@ -141,28 +144,19 @@ func RunWorker(baseURL string, opts WorkerOptions) error {
 		if err != nil {
 			return err
 		}
-		if lease.Done {
-			opts.Logf("%s: matrix complete", opts.ID)
-			return nil
-		}
-		if len(lease.Fingerprints) == 0 {
-			retry := time.Duration(lease.RetryMillis) * time.Millisecond
-			if retry <= 0 {
-				retry = time.Second
+		done := lease.Done
+		if !done && len(lease.Fingerprints) > 0 {
+			if done, err = w.serveLease(lease, &uploads); err != nil {
+				return err
 			}
-			time.Sleep(retry)
-			continue
-		}
-		done, err := w.serveLease(lease, &uploads)
-		if err != nil {
-			return err
 		}
 		if done {
-			// The upload response already said the matrix is complete; a
-			// follow-up lease poll could race the coordinator's exit.
+			// Once told, never ask again: the coordinator may exit as soon
+			// as every live worker has heard.
 			opts.Logf("%s: matrix complete", opts.ID)
 			return nil
 		}
+		// An empty lease: the long-poll ran out. Poll again now.
 	}
 }
 
@@ -177,14 +171,25 @@ type worker struct {
 
 // serveLease computes one lease's fingerprints and uploads the entries,
 // heartbeating in the background while the simulations run. The bool is
-// true when an upload response reported the matrix complete.
+// true when a heartbeat or upload reply reported the matrix complete;
+// the lease's remaining work is then dropped.
 func (w *worker) serveLease(lease Lease, uploads *int) (bool, error) {
 	w.opts.Logf("%s: lease %s: %d fingerprints", w.opts.ID, lease.ID, len(lease.Fingerprints))
 	stop := make(chan struct{})
-	defer close(stop)
-	if !w.opts.Faults.DropHeartbeats {
-		go w.heartbeatLoop(lease.ID, stop)
+	told := make(chan struct{}) // closed when a heartbeat reply says done
+	beating := make(chan struct{})
+	if w.opts.Faults.DropHeartbeats {
+		close(beating)
+	} else {
+		go func() {
+			defer close(beating)
+			w.heartbeatLoop(lease.ID, stop, told)
+		}()
 	}
+	defer func() {
+		close(stop)
+		<-beating
+	}()
 
 	cfgs := make([]sim.Config, 0, len(lease.Fingerprints))
 	for _, fp := range lease.Fingerprints {
@@ -197,11 +202,22 @@ func (w *worker) serveLease(lease Lease, uploads *int) (bool, error) {
 		cfgs = append(cfgs, cfg)
 	}
 	// One batch run: the runner's worker pool, System reuse, and gang
-	// formation all apply, exactly as in a solo figbench -shard run.
-	if _, err := w.runner.RunJobs(cfgs); err != nil {
-		return false, fmt.Errorf("dispatch: computing lease %s: %w", lease.ID, err)
+	// formation all apply, exactly as in a solo figbench run. It runs
+	// aside so a done heartbeat can abandon it: the process is about to
+	// exit, and the private runner is never touched again.
+	computed := make(chan error, 1)
+	go func() {
+		_, err := w.runner.RunJobs(cfgs)
+		computed <- err
+	}()
+	select {
+	case err := <-computed:
+		if err != nil {
+			return false, fmt.Errorf("dispatch: computing lease %s: %w", lease.ID, err)
+		}
+	case <-told:
+		return true, nil
 	}
-	matrixDone := false
 	for _, cfg := range cfgs {
 		fp := cfg.Fingerprint()
 		res, ok := w.cache.Get(fp)
@@ -213,13 +229,19 @@ func (w *worker) serveLease(lease Lease, uploads *int) (bool, error) {
 			return false, err
 		}
 		if d := w.opts.Faults.StallBeforeUpload; d > 0 {
-			time.Sleep(d)
+			select {
+			case <-time.After(d):
+			case <-told:
+				return true, nil
+			}
 		}
 		done, err := w.upload(fp.String(), data)
 		if err != nil {
 			return false, err
 		}
-		matrixDone = matrixDone || done
+		if done {
+			return true, nil
+		}
 		if w.opts.Faults.DuplicateUploads {
 			if _, err := w.upload(fp.String(), data); err != nil {
 				return false, fmt.Errorf("dispatch: duplicate upload rejected: %w", err)
@@ -230,13 +252,14 @@ func (w *worker) serveLease(lease Lease, uploads *int) (bool, error) {
 			return false, ErrInjectedCrash
 		}
 	}
-	return matrixDone, nil
+	return false, nil
 }
 
-// heartbeatLoop extends the lease until stop closes. A Gone response
-// means the lease expired (the coordinator may have re-dispatched it);
-// the worker keeps computing and uploads anyway — first writer wins.
-func (w *worker) heartbeatLoop(leaseID string, stop <-chan struct{}) {
+// heartbeatLoop extends the lease until stop closes, and closes told
+// when a reply says the matrix is complete. A Gone response means the
+// lease expired (the coordinator may have re-dispatched it); the worker
+// keeps computing and uploads anyway — first writer wins.
+func (w *worker) heartbeatLoop(leaseID string, stop <-chan struct{}, told chan<- struct{}) {
 	t := time.NewTicker(w.opts.Heartbeat)
 	defer t.Stop()
 	for {
@@ -244,8 +267,13 @@ func (w *worker) heartbeatLoop(leaseID string, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			if err := w.heartbeat(leaseID); err != nil {
+			done, err := w.heartbeat(leaseID)
+			if err != nil {
 				w.opts.Logf("%s: heartbeat %s: %v", w.opts.ID, leaseID, err)
+				return
+			}
+			if done {
+				close(told)
 				return
 			}
 		}
@@ -255,7 +283,7 @@ func (w *worker) heartbeatLoop(leaseID string, stop <-chan struct{}) {
 // --- HTTP plumbing ---
 
 func (w *worker) fetchSpec() (Spec, error) {
-	resp, err := w.opts.Client.Get(w.base + "/v1/spec")
+	resp, err := w.opts.Client.Get(w.base + "/v1/spec?worker=" + url.QueryEscape(w.opts.ID))
 	if err != nil {
 		return Spec{}, fmt.Errorf("dispatch: fetching spec: %w", err)
 	}
@@ -270,10 +298,10 @@ func (w *worker) fetchSpec() (Spec, error) {
 	return spec, nil
 }
 
-// fetchLease polls for work, retrying transient connection failures a
-// few times — a coordinator restarting over its partial cache directory
-// comes back with the matrix state intact, so workers should ride
-// through the gap rather than die on the first refused connection.
+// fetchLease long-polls for work, retrying transient connection
+// failures a few times — a coordinator restarting over its partial cache
+// directory comes back with the matrix state intact, so workers should
+// ride through the gap rather than die on the first refused connection.
 func (w *worker) fetchLease() (Lease, error) {
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
@@ -307,20 +335,25 @@ func (w *worker) fetchLeaseOnce() (Lease, error) {
 	return lease, nil
 }
 
-func (w *worker) heartbeat(leaseID string) error {
-	body, _ := json.Marshal(map[string]string{"lease": leaseID})
+// heartbeat extends a lease; the bool reports the matrix complete.
+func (w *worker) heartbeat(leaseID string) (bool, error) {
+	body, _ := json.Marshal(map[string]string{"worker": w.opts.ID, "lease": leaseID})
 	resp, err := w.opts.Client.Post(w.base+"/v1/heartbeat", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusGone {
-		return ErrUnknownLease
+		return false, ErrUnknownLease
 	}
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("heartbeat: %s", respError(resp))
+	if resp.StatusCode != http.StatusOK {
+		return false, fmt.Errorf("heartbeat: %s", respError(resp))
 	}
-	return nil
+	var ack doneReply
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		return false, fmt.Errorf("heartbeat: decoding reply: %w", err)
+	}
+	return ack.Done, nil
 }
 
 // upload PUTs one entry; the bool reports whether the coordinator says
@@ -328,7 +361,7 @@ func (w *worker) heartbeat(leaseID string) error {
 // bytes disagree with an accepted entry, meaning build drift, and every
 // further upload would conflict the same way.
 func (w *worker) upload(fp string, data []byte) (bool, error) {
-	req, err := http.NewRequest(http.MethodPut, w.base+"/v1/entry/"+fp, bytes.NewReader(data))
+	req, err := http.NewRequest(http.MethodPut, w.base+"/v1/entry/"+fp+"?worker="+url.QueryEscape(w.opts.ID), bytes.NewReader(data))
 	if err != nil {
 		return false, err
 	}
@@ -339,11 +372,11 @@ func (w *worker) upload(fp string, data []byte) (bool, error) {
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
-	case http.StatusNoContent, http.StatusOK:
-		var ack struct {
-			Done bool `json:"done"`
+	case http.StatusOK:
+		var ack doneReply
+		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+			return false, fmt.Errorf("dispatch: uploading %.12s...: decoding ack: %w", fp, err)
 		}
-		_ = json.NewDecoder(resp.Body).Decode(&ack)
 		return ack.Done, nil
 	case http.StatusConflict:
 		return false, fmt.Errorf("dispatch: uploading %.12s...: %w: %s", fp, ErrConflict, respError(resp))

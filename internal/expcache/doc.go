@@ -1,7 +1,7 @@
 // Package expcache is the experiment-result store behind the harness: a
-// two-tier cache of sim.Results keyed by sim.Fingerprint, plus the
-// manifest and merge machinery that lets a result store be assembled
-// from shards computed on different machines.
+// two-tier cache of sim.Results keyed by sim.Fingerprint, plus the Store
+// seam through which the dispatch coordinator lands worker uploads in a
+// cache directory.
 //
 // # Result cache
 //
@@ -18,17 +18,12 @@
 // rename), so concurrent writers of the same fingerprint — racing
 // processes, or racing workers of one process — land one complete entry.
 //
-// # Shard manifests and merging
+// # One validation rule
 //
-// A sharded figbench run (-shard K/N) computes a 1/N slice of the
-// experiment matrix into its cache directory and records a Manifest
-// there: the engine version, the full fingerprint index of the matrix,
-// and the slice this shard owned. Merge combines several such
-// directories into one, validating entry integrity and matrix coverage
-// (missing shards, missing or extra entries, byte-level conflicts)
-// before writing anything; a directory holding every shard serves a
-// subsequent unsharded figbench run without any recomputation. Unlike
-// cache reads, merge validation treats defects as errors — a merge
-// asserts coverage, so problems must surface rather than degrade into
-// recomputation on some later machine.
+// DecodeEntry is the single judge of an entry's validity: the disk
+// cache applies it on every read, and the dispatch coordinator applies
+// it to every worker upload and to every file it adopts when resuming
+// over a partial directory. A directory is therefore complete for a
+// matrix exactly when every matrix fingerprint has an entry that
+// decodes; no side file records coverage.
 package expcache

@@ -1,7 +1,6 @@
 package expcache
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -16,7 +15,7 @@ var fuzzFP = sim.Fingerprint{0xab, 0xcd, 1, 2, 3}
 // code path that judges worker uploads and disk cache files. It must
 // never panic; when it accepts, a re-encode of the decoded result must
 // be byte-identical to a fresh EncodeEntry (the determinism invariant
-// the whole merge/dispatch machinery diffs on).
+// the dispatch coordinator and the fleet tests diff on).
 func FuzzDecodeEntry(f *testing.F) {
 	res := sim.Result{
 		Preset:   sim.FIGCacheFast,
@@ -55,55 +54,6 @@ func FuzzDecodeEntry(f *testing.F) {
 		}
 		if string(re) != string(re2) {
 			t.Fatalf("encode/decode/encode is not a fixed point:\n%s\nvs\n%s", re, re2)
-		}
-	})
-}
-
-// FuzzManifestValidate feeds arbitrary JSON to the manifest decode +
-// Validate path figmerge and the dispatch coordinator trust. No input
-// may panic it; a manifest that validates must have a well-formed
-// positional assignment (ExpectedAssigned never out-of-range).
-func FuzzManifestValidate(f *testing.F) {
-	m := &Manifest{
-		Format:       ManifestFormatVersion,
-		Engine:       sim.EngineVersion,
-		Scale:        "insts=1000 apps=1 mixes=1 mc=10",
-		Experiments:  []string{"table2"},
-		Shard:        1,
-		NumShards:    2,
-		Fingerprints: []string{strings.Repeat("0", 64), strings.Repeat("f", 64)},
-		Assigned:     []string{strings.Repeat("0", 64)},
-	}
-	seed, err := json.Marshal(m)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"format":1,"engine":1,"shard":0,"num_shards":-1}`))
-	f.Add([]byte(`{"format":1,"fingerprints":["zz"]}`))
-	f.Add([]byte(`null`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var m Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			return
-		}
-		if err := m.Validate(); err != nil {
-			return // invalid manifest: the only requirement is no panic
-		}
-		// A validated manifest's positional assignment must be coherent:
-		// every expected fingerprint comes from the index, and the shard
-		// bounds hold (ShardOf stays within 1..NumShards).
-		for _, fp := range m.ExpectedAssigned() {
-			if !IsFingerprintHex(fp) {
-				t.Fatalf("validated manifest assigns non-hex fingerprint %q", fp)
-			}
-		}
-		for i := range m.Fingerprints {
-			if s := ShardOf(i, m.NumShards); s < 1 || s > m.NumShards {
-				t.Fatalf("ShardOf(%d, %d) = %d out of range", i, m.NumShards, s)
-			}
 		}
 	})
 }

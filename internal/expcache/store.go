@@ -5,12 +5,34 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 )
+
+// IsFingerprintHex reports whether s is a well-formed fingerprint name:
+// exactly 64 lowercase hex digits (the filename stem of a result entry
+// and the wire identity the dispatch protocol passes around).
+func IsFingerprintHex(s string) bool {
+	if len(s) != 64 {
+		return false
+	}
+	for _, c := range s {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// isEntryName reports whether a cache-directory filename is a result
+// entry (a 64-hex fingerprint plus .json).
+func isEntryName(name string) bool {
+	return strings.HasSuffix(name, ".json") && IsFingerprintHex(strings.TrimSuffix(name, ".json"))
+}
 
 // Store is the entry-storage seam: result entries move as encoded
 // envelope bytes (exactly the on-disk format — see EncodeEntry), so an
-// entry can arrive over the wire, out of another cache directory, or
-// from a local computation and land through one code path. The dispatch
+// entry can arrive over the wire or from a local computation and land
+// through one code path. The dispatch
 // coordinator accepts worker uploads into a Store; an object-store
 // backend would implement the same three methods.
 //
@@ -30,9 +52,9 @@ type Store interface {
 }
 
 // DirStore implements Store over a cache directory, interoperating
-// byte-for-byte with Cache, figmerge, and figbench -cache-dir: entries
-// are FP.json files written atomically. Files that are not well-formed
-// entry names (manifests, temp files) are ignored by List/Get.
+// byte-for-byte with Cache and figbench -cache-dir: entries are FP.json
+// files written atomically. Files that are not well-formed entry names
+// (temp files, anything foreign) are ignored by List/Get.
 type DirStore struct {
 	dir string
 }

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestEncodeDecodeEntryRoundTrip pins the wire contract: EncodeEntry
@@ -78,59 +76,6 @@ func TestDecodeEntryNamedErrors(t *testing.T) {
 	}
 }
 
-// TestManifestValidateNamedErrors: manifest validation failures are
-// classified by named error, including the fuzz-found case of a
-// well-shaped manifest whose index holds non-fingerprint strings.
-func TestManifestValidateNamedErrors(t *testing.T) {
-	valid := func() *Manifest {
-		fps := []string{
-			testFingerprint(1).String(),
-			testFingerprint(2).String(),
-		}
-		if fps[0] > fps[1] {
-			fps[0], fps[1] = fps[1], fps[0]
-		}
-		m := &Manifest{
-			Format: ManifestFormatVersion, Engine: sim.EngineVersion,
-			Shard: 1, NumShards: 1, Fingerprints: fps,
-		}
-		m.Assigned = m.ExpectedAssigned()
-		return m
-	}
-	if err := valid().Validate(); err != nil {
-		t.Fatalf("reference manifest invalid: %v", err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*Manifest)
-		want   error
-	}{
-		{"format", func(m *Manifest) { m.Format++ }, ErrManifestFormat},
-		{"engine", func(m *Manifest) { m.Engine++ }, ErrManifestEngine},
-		{"shard-zero", func(m *Manifest) { m.NumShards = 0 }, ErrManifestShard},
-		{"shard-range", func(m *Manifest) { m.Shard = 5 }, ErrManifestShard},
-		{"unsorted", func(m *Manifest) {
-			m.Fingerprints[0], m.Fingerprints[1] = m.Fingerprints[1], m.Fingerprints[0]
-		}, ErrManifestFingerprint},
-		{"non-hex", func(m *Manifest) { m.Fingerprints[1] = "zz-not-a-fingerprint" }, ErrManifestFingerprint},
-		{"short-hex", func(m *Manifest) { m.Fingerprints[1] = "abcdef" }, ErrManifestFingerprint},
-		{"assignment-count", func(m *Manifest) { m.Assigned = m.Assigned[:1] }, ErrManifestAssignment},
-		{"assignment-drift", func(m *Manifest) {
-			m.Assigned = append([]string{}, m.Assigned...)
-			m.Assigned[0] = m.Fingerprints[1]
-		}, ErrManifestAssignment},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := valid()
-			tc.mutate(m)
-			if err := m.Validate(); !errors.Is(err, tc.want) {
-				t.Errorf("Validate error = %v, want errors.Is(..., %v)", err, tc.want)
-			}
-		})
-	}
-}
-
 // TestDirStore exercises the storage seam: puts land atomically as
 // entry files a Cache can serve, list order is ascending, and malformed
 // keys are rejected before touching the filesystem.
@@ -184,7 +129,8 @@ func TestDirStore(t *testing.T) {
 		t.Errorf("GetEntry on a bad key: ok=%v err=%v", ok, err)
 	}
 
-	// Non-entry files (manifests, temp droppings) are invisible.
+	// Non-entry files (a manifest left by an older build, temp droppings)
+	// are invisible.
 	if err := os.WriteFile(filepath.Join(dir, "manifest-1of1.json"), []byte("{}"), 0o666); err != nil {
 		t.Fatal(err)
 	}

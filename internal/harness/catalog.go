@@ -43,7 +43,7 @@ func (r *Runner) Catalog() []Experiment {
 // SelectExperiments resolves experiment names to their builders, in
 // catalog order and deduplicated, so any permutation of the same name
 // set selects the identical builder sequence (and therefore enumerates
-// the identical job matrix and stamps the identical manifest). The
+// the identical job matrix). The
 // returned names are the canonical form of the selection. Unknown names
 // are an error listing the catalog — a coordinator and a worker built
 // from different binaries must fail loudly, not diverge silently.

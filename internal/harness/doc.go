@@ -11,7 +11,7 @@
 // matrix's figure rows, where one app meets every preset) execute as
 // one sim.Gang over a shared instruction stream; the rest run solo.
 // Results are bit-identical either way (SetGangEnabled(false) is the
-// escape hatch, figbench's -gang=false), and cache, shard, and merge
+// escape hatch, figbench's -gang=false), and cache and dispatch
 // semantics are unchanged — a gang is purely an execution strategy.
 //
 // The Scale struct is the single knob for matrix cost (instruction
@@ -19,13 +19,13 @@
 // DefaultScale is the full matrix, QuickScale the minutes-scale version
 // used by tests.
 //
-// For fanning the matrix out across machines, the package also provides
-// the sharding layer (shard.go): EnumerateJobs runs the experiment
-// builders in a plan-only mode that records every distinct job without
-// simulating, ShardJobs partitions the canonical fingerprint-ordered
-// index into K-of-N slices, and ShardManifest describes a slice for
-// later merge validation (expcache.Merge). See ARCHITECTURE.md for the
-// full multi-machine workflow.
+// For fanning the matrix out across machines (internal/dispatch), the
+// package also provides plan-only enumeration (enumerate.go):
+// EnumerateJobs runs the experiment builders in a mode that records
+// every distinct job without simulating and returns the canonical
+// fingerprint-ordered index, and RunJobs computes an arbitrary slice of
+// it through the result cache. See ARCHITECTURE.md "Distributed
+// dispatch" for the fleet workflow.
 //
 // RunSampled (sampled.go) is the sampled-execution workflow built on
 // the system checkpoint lifecycle: fast-forward to a region of

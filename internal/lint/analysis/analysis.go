@@ -150,8 +150,8 @@ var TimingPathPackages = []string{
 
 // OrderSensitivePackages extends the timing path with the packages whose
 // *output* must be byte-identical across runs — harness table building
-// and expcache merge reports — where map iteration order (though not
-// wall-clock use) is still a determinism hazard.
+// and expcache directory listings — where map iteration order (though
+// not wall-clock use) is still a determinism hazard.
 var OrderSensitivePackages = append([]string{
 	"internal/harness",
 	"internal/expcache",

@@ -3,9 +3,9 @@
 // must be deterministic: the timing path plus harness/expcache table and
 // report building. Go randomizes map iteration order per run, so a map
 // range on any result- or output-affecting path silently breaks the
-// bit-identical-results contract that the fingerprint cache, the shard
-// merge, and TestEngineEquivalence all lean on (PR 1 fixed exactly such
-// a bug in flushIdleRelocs).
+// bit-identical-results contract that the fingerprint cache, the dispatch
+// fleet, and TestEngineEquivalence all lean on (such a bug once lived in
+// flushIdleRelocs).
 //
 // A statement where iteration order provably cannot affect results may
 // carry a trailing (or directly preceding) annotation:
