@@ -168,6 +168,39 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
+// BenchmarkSimulatorThroughputMulticore measures raw simulation speed on
+// the eight-core path: simulated instructions per wall-clock second for
+// FIGCache-Fast on the first 100%-intensive mix. The System is warmed up
+// once, untimed, past the cold-cache transient; each iteration then
+// times a fixed window of retired instructions (all cores) with
+// RunUntilRetired, the checkpointed multi-core window's stop rule.
+func BenchmarkSimulatorThroughputMulticore(b *testing.B) {
+	const warm, window = 4_000_000, 2_000_000
+	mix := workload.MixesByCategory(workload.EightCoreMixes(), 100)[0]
+	cfg := sim.DefaultConfig(sim.FIGCacheFast, mix)
+	cfg.TargetInsts = 1 << 40 // the stop rule ends every window
+	system, err := sim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	system.RunUntilRetired(warm)
+	retired := func() int64 {
+		var n int64
+		for _, c := range system.Cores() {
+			n += c.Retired
+		}
+		return n
+	}
+	b.ResetTimer()
+	var insts int64
+	for i := 0; i < b.N; i++ {
+		before := retired()
+		system.RunUntilRetired(before + window)
+		insts += retired() - before
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
+}
+
 // BenchmarkGangRow pits gang execution against serial execution of one
 // figure row: a single Table-2 application simulated under all six
 // presets. The serial arm mirrors the harness solo path (one System

@@ -299,11 +299,15 @@ func (c *Core) AccountSkipped(cycles int64) {
 // whole window is retirable, or the run of retirable entries at the
 // head is long enough that every batched cycle retires a full group
 // before reaching the first entry still waiting on a load. Outstanding
-// loads only complete through scheduler events, and the run loop never
-// jumps past a pending event, so the retirable run cannot grow inside
-// the batch. The count is capped at the cycle the core would reach its
-// instruction target, so the run loop observes the finish exactly where
-// the dense loop would.
+// loads only complete through scheduler events (CompleteSlot, a fill on
+// the core's L1). An event may land inside a batch the run loop is
+// holding lazily; the loop then settles the batch up to the cycle before
+// the event (AdvanceBatch over a prefix) and sizes a new one afterwards,
+// so a batch is never applied across a state change it did not predict.
+// Every regime's count shrinks by exactly one per executed cycle, so a
+// prefix of a batch leaves the rest batchable. The count is capped at the
+// cycle the core would reach its instruction target, so the run loop
+// observes the finish exactly where the dense loop would.
 //
 // Returns 0 when the next cycle must be executed normally.
 func (c *Core) BatchableCycles() int64 {
@@ -389,13 +393,42 @@ func (c *Core) cyclesToTarget() int64 {
 	return 1 + (need-r0+r-1)/r
 }
 
+// BatchRetired returns how many instructions the first k cycles of the
+// closed-form batch (the cycles after the current one, k <=
+// BatchableCycles()) retire. AdvanceBatch applies exactly this count, so
+// the run loop can read a lazily held core's progress at any cycle of
+// its batch without settling it.
+func (c *Core) BatchRetired(k int64) int64 {
+	if k <= 0 {
+		return 0
+	}
+	if c.pendingFills == 0 {
+		// The first cycle retires what the window holds, up to a full
+		// group; the window then refills at issue width every cycle.
+		r := int64(c.cfg.RetireWidth)
+		r0 := r
+		if int64(c.count) < r0 {
+			r0 = int64(c.count)
+		}
+		return r0 + r*(k-1)
+	}
+	// Loads in flight: a run of at least one group retires a full group
+	// every batched cycle; a shorter run drains on the first cycle and
+	// retirement then stops at the waiting entry.
+	iw := int64(c.cfg.IssueWidth)
+	if avail := c.retirableRun(); avail < iw {
+		return avail
+	}
+	return iw * k
+}
+
 // AdvanceBatch fast-forwards the core over `cycles` skipped cycles (the
 // cycles now+1 .. now+cycles, which the run loop will not execute) by
 // applying the closed-form bubble execution. The caller must have
 // established batchability (BatchableCycles() >= cycles) for the
-// current state; the run loop computes that once during its wake scan
-// and dispatches here without re-deriving it. Blocked cores take
-// AccountSkipped instead.
+// current state; the run loop sizes the batch once when it schedules
+// the core and may apply it here in several prefixes. Blocked cores
+// take AccountSkipped instead.
 func (c *Core) AdvanceBatch(now, cycles int64) {
 	if cycles <= 0 {
 		return
@@ -414,12 +447,7 @@ func (c *Core) AdvanceBatch(now, cycles int64) {
 // — the window is left in place and only grown to its steady-state
 // occupancy, so the cost is O(RetireWidth) regardless of span.
 func (c *Core) advanceAllDone(now, cycles int64) {
-	r := int64(c.cfg.RetireWidth)
-	r0 := r
-	if int64(c.count) < r0 {
-		r0 = int64(c.count)
-	}
-	retired := r0 + r*(cycles-1)
+	retired := c.BatchRetired(cycles)
 	c.pending.Bubbles -= int(int64(c.cfg.IssueWidth) * cycles)
 	// Resolve the target-crossing cycle before mutating Retired, with
 	// the same formula BatchableCycles used to cap the batch (the cap
@@ -435,7 +463,7 @@ func (c *Core) advanceAllDone(now, cycles int64) {
 	// Steady-state occupancy: a window below RetireWidth refills to it on
 	// the first cycle (retire everything, issue a full group) and then
 	// holds; a larger window retires and issues in lockstep.
-	for int64(c.count) < r {
+	for c.count < c.cfg.RetireWidth {
 		c.insert(true)
 	}
 }
@@ -448,12 +476,7 @@ func (c *Core) advanceAllDone(now, cycles int64) {
 func (c *Core) advanceInFlight(now, cycles int64) {
 	iw := int64(c.cfg.IssueWidth)
 	avail := c.retirableRun()
-	var retired int64
-	if avail >= iw {
-		retired = iw * cycles // full retire group every batched cycle
-	} else {
-		retired = avail // first cycle drains the run; the rest retire 0
-	}
+	retired := c.BatchRetired(cycles)
 	w := c.cfg.WindowSize
 	// Clear the retired entries off the head in at most two wrap-free
 	// runs; the range-clear loops compile to block fills instead of a

@@ -573,3 +573,93 @@ func TestAdvanceInFlightMatchesDenseTicks(t *testing.T) {
 		}
 	}
 }
+
+// cloneCore returns an independent copy of c's execution state. The
+// copy shares c's trace and L1, so it may only execute cycles that touch
+// neither: the bubble cycles of a batch.
+func cloneCore(c *Core) *Core {
+	d := *c
+	d.done = append([]bool(nil), c.done...)
+	d.epoch = append([]int64(nil), c.epoch...)
+	d.issueEp = append([]int64(nil), c.issueEp...)
+	return &d
+}
+
+// TestBatchRetiredMatchesAdvanceAndTicks is the property test for the
+// closed form the run loop reads lazily held cores with: for every
+// k <= BatchableCycles(), BatchRetired(k) must equal the Retired delta of
+// both AdvanceBatch(now, k) and k dense Ticks, and the two must agree on
+// FinishedAt. States are sampled from a core running a bubbles+misses
+// trace, so all three batch regimes occur — an all-done window, loads in
+// flight behind a retirable run of at least one group, and a nearly
+// blocked head — and each state is also tried with instruction targets
+// placed inside the batch, so the target-crossing cap is crossed too.
+func TestBatchRetiredMatchesAdvanceAndTicks(t *testing.T) {
+	recs := make([]TraceRecord, 512)
+	for i := range recs {
+		recs[i] = TraceRecord{Bubbles: 20 + (i*37)%220, Addr: uint64(i) * 64 * 1024, IsWrite: i%5 == 0}
+	}
+	c, s, _ := newCore(t, recs, 300, 1<<40)
+	var allDone, inFlight, headBlocked, crossings int
+	for sampled := 0; s.now < 60_000; s.now++ {
+		s.fire()
+		c.Tick(s.now)
+		if c.BatchableCycles() == 0 {
+			continue
+		}
+		if sampled++; sampled%5 != 0 {
+			continue
+		}
+		iw := int64(c.cfg.IssueWidth)
+		switch {
+		case c.pendingFills == 0:
+			allDone++
+		case c.retirableRun() >= iw:
+			inFlight++
+		default:
+			headBlocked++
+		}
+		// The unfinished core, then targets 1..7 instructions away and one
+		// a few groups away, so the crossing lands on every cycle offset.
+		targets := []int64{1 << 40}
+		for d := int64(1); d <= 7; d++ {
+			targets = append(targets, c.Retired+d)
+		}
+		targets = append(targets, c.Retired+5*iw+1)
+		for _, target := range targets {
+			base := cloneCore(c)
+			base.TargetInsts = target
+			n := base.BatchableCycles()
+			for k := int64(1); k <= n; k++ {
+				want := base.BatchRetired(k)
+				batched := cloneCore(base)
+				batched.AdvanceBatch(s.now, k)
+				dense := cloneCore(base)
+				for j := int64(1); j <= k; j++ {
+					dense.Tick(s.now + j)
+				}
+				if got := batched.Retired - base.Retired; got != want {
+					t.Fatalf("cycle %d target %d k=%d/%d: AdvanceBatch retired %d, BatchRetired %d",
+						s.now, target, k, n, got, want)
+				}
+				if got := dense.Retired - base.Retired; got != want {
+					t.Fatalf("cycle %d target %d k=%d/%d: %d Ticks retired %d, BatchRetired %d",
+						s.now, target, k, n, k, got, want)
+				}
+				if batched.FinishedAt != dense.FinishedAt {
+					t.Fatalf("cycle %d target %d k=%d/%d: FinishedAt batched %d, dense %d",
+						s.now, target, k, n, batched.FinishedAt, dense.FinishedAt)
+				}
+				if dense.FinishedAt != 0 && target < 1<<40 {
+					crossings++
+				}
+			}
+		}
+	}
+	t.Logf("states: all-done %d, in-flight %d, head-blocked %d; batches crossing the target %d",
+		allDone, inFlight, headBlocked, crossings)
+	if allDone == 0 || inFlight == 0 || headBlocked == 0 || crossings == 0 {
+		t.Fatalf("a regime went unsampled: all-done %d, in-flight %d, head-blocked %d, crossings %d",
+			allDone, inFlight, headBlocked, crossings)
+	}
+}

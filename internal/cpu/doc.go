@@ -14,7 +14,10 @@
 // bubble runs (non-memory instructions issuing at full width) in closed
 // form instead of cycle by cycle. AccountSkipped credits the stall
 // counters the dense reference loop would have recorded, keeping both
-// engines bit-identical (TestEngineEquivalence).
+// engines bit-identical (TestEngineEquivalence). The engine holds each
+// core lazily and settles it only when its state is needed, so a batch
+// may be applied in several AdvanceBatch prefixes, and BatchRetired
+// reads a held batch's progress with the formula AdvanceBatch applies.
 //
 // Core.Snapshot/Restore (snapshot.go) serialize the window ring, issue
 // state, and per-core statistics for the system checkpoint lifecycle;

@@ -141,3 +141,52 @@ func BenchmarkAccessPathAllocsGang(b *testing.B) {
 	}
 	b.ReportMetric(float64(50_000*b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
+
+// BenchmarkAccessPathAllocsMulticore drives the eight-core access path
+// the way checkpointed multi-core windows run it: bounded engine spans
+// that end on the RunUntilRetired stop rule. It covers the skipping
+// engine's per-core schedule — lazily held batches and blocked stretches,
+// settlement on events and at the stop, the closed-form retired count —
+// on top of four controllers and the shared LLC. The per-core schedule
+// is allocated once, like the controller wakes, so every span after the
+// warm-up must be allocation-free.
+func BenchmarkAccessPathAllocsMulticore(b *testing.B) {
+	var mix workload.Mix
+	for _, m := range workload.EightCoreMixes() {
+		if m.Name == "mix-100-0" {
+			mix = m
+		}
+	}
+	cfg := DefaultConfig(FIGCacheFast, mix)
+	// Unreachable targets: every span ends on the stop rule or its cycle
+	// bound, never on a finished core.
+	cfg.TargetInsts = 1 << 40
+	cfg.MaxCycles = 1 << 62
+	s, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Each span stops after 40k more retired instructions (all cores),
+	// well inside its 50k-cycle bound, so the stop rule's exact count runs.
+	span := func() {
+		s.runSkippingUntil(s.clock+50_000, s.totalRetired()+40_000)
+	}
+	for i := 0; i < 40; i++ { // warm pools, queues, the event heap, relocation state
+		span()
+	}
+
+	allocs := testing.AllocsPerRun(5, span)
+	b.ReportMetric(allocs, "allocs/op")
+	if allocs > 0 {
+		b.Fatalf("steady-state multi-core access path allocated %.1f times per span, want 0", allocs)
+	}
+
+	b.ResetTimer()
+	var insts int64
+	for i := 0; i < b.N; i++ {
+		before := s.totalRetired()
+		span()
+		insts += s.totalRetired() - before
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
+}

@@ -15,7 +15,11 @@
 //     batching engine; the dense cycle-by-cycle reference loop is kept
 //     behind Config.DenseLoop, and TestEngineEquivalence enforces that
 //     both produce bit-identical Results. Any timing-model change must
-//     keep that test green.
+//     keep that test green. The skipping engine schedules cores one by
+//     one: a cycle ticks only the due cores, and a blocked or batching
+//     core stays lazy until something needs its state. Dispatch settles
+//     a core before an event touches it (settle before touch), and every
+//     exit settles all cores, so snapshots and results see dense state.
 //
 //   - Run identity. Config.Fingerprint() is the canonical identity of a
 //     run: a SHA-256 over the normalized configuration plus

@@ -38,6 +38,21 @@ func warmMix(t *testing.T) workload.Mix {
 	return workload.Mix{Name: "warm", Apps: workload.Sources(spec)}
 }
 
+// sjengMemMix is a four-core mix of the most compute-bound application
+// next to three memory-bound ones.
+func sjengMemMix(t *testing.T) workload.Mix {
+	t.Helper()
+	var apps []workload.Source
+	for _, name := range []string{"sjeng", "mcf", "lbm", "libquantum"} {
+		spec, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, workload.SynthSource(spec))
+	}
+	return workload.Mix{Name: "sjeng-mem", Apps: apps, IntensivePercent: 75}
+}
+
 // TestEngineEquivalence is the golden determinism test for the
 // cycle-skipping engine: every configuration must produce a sim.Result
 // bit-identical to the dense cycle-by-cycle reference loop.
@@ -94,6 +109,15 @@ func TestEngineEquivalence(t *testing.T) {
 		workload.TraceSource(tracePath),
 	}}
 	cases = append(cases, tc{name: "Base/mixed-sources", cfg: DefaultConfig(Base, mixed), insts: 8_000})
+
+	// Multi-core runs are where the skipping engine holds cores lazily:
+	// compute-bound cores batch long bubble runs while memory-bound ones
+	// block, and load completions and L1 fills land inside the held
+	// batches and blocked stretches, settling them first.
+	cases = append(cases,
+		tc{name: "FIGCache-Fast/8core", cfg: DefaultConfig(FIGCacheFast, workload.EightCoreMixes()[0]), insts: 12_000},
+		tc{name: "Base/4core-sjeng", cfg: DefaultConfig(Base, sjengMemMix(t)), insts: 20_000},
+	)
 
 	if !testing.Short() {
 		eight := DefaultConfig(Base, workload.EightCoreMixes()[0])
@@ -256,6 +280,53 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSkippingPauseResumeMulticore pauses an eight-core skipping run at
+// several RunUntilRetired points — each pause settles every lazily held
+// core, each resume re-derives the per-core schedule — and checks that
+// finishing with Run matches an uninterrupted run: the Result and every
+// per-core and per-L1 counter the lazy settlement credits.
+func TestSkippingPauseResumeMulticore(t *testing.T) {
+	cfg := DefaultConfig(FIGCacheFast, eightCoreMix(t, "mix-100-0"))
+	cfg.TargetInsts = 30_000
+	type counters struct{ retired, windowFull, loadStalls, storeStalls, l1Read, l1Write, l1MSHRFull int64 }
+	read := func(s *System) []counters {
+		var out []counters
+		for i, c := range s.Cores() {
+			l1 := s.Hierarchy().L1s[i]
+			out = append(out, counters{c.Retired, c.WindowFull, c.LoadStalls, c.StoreStalls, l1.ReadAcc, l1.WriteAcc, l1.MSHRFullStalls})
+		}
+		return out
+	}
+	whole, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := whole.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	paused, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int64{1, 20_000, 61_000, 130_000, 200_000} {
+		paused.RunUntilRetired(k)
+		if got := paused.totalRetired(); got < k {
+			t.Fatalf("RunUntilRetired(%d) paused at %d retired", k, got)
+		}
+	}
+	got, err := paused.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("paused-and-resumed run diverges:\n want: %+v\n  got: %+v", want, got)
+	}
+	if w, g := read(whole), read(paused); !reflect.DeepEqual(g, w) {
+		t.Errorf("counters diverge:\n want: %+v\n  got: %+v", w, g)
 	}
 }
 

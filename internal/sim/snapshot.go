@@ -212,7 +212,6 @@ func (s *System) Restore(in io.Reader) error {
 	} else if nw == len(s.ctrls) {
 		if s.ctrlWake == nil {
 			s.ctrlWake = make([]int64, len(s.ctrls))
-			s.coreBatch = make([]int64, len(s.cores))
 		}
 		for i := range s.ctrlWake {
 			s.ctrlWake[i] = r.I64()

@@ -35,11 +35,22 @@ type System struct {
 	// most recent tick; zero forces a tick at the first bus boundary.
 	// Owned by runSkippingUntil, kept on the System so resumed engine
 	// runs (benchmarks drive bounded spans) neither reallocate it nor
-	// re-tick idle controllers. coreBatch[i] carries core i's batchable
-	// span from the wake scan to the jump application within one
-	// iteration, so the closed form is sized exactly once per cycle.
-	ctrlWake  []int64
-	coreBatch []int64
+	// re-tick idle controllers.
+	ctrlWake []int64
+	// lazy[i] is core i's schedule in the skipping engine: its next full
+	// Tick and the closed-form span before it (see coreLazy). Allocated
+	// once, like ctrlWake.
+	//fglint:preserved derived state: runSkippingUntil rebuilds it on every entry and settles every core on exit
+	lazy []coreLazy
+	// l1Core maps a cache node ID to the core whose L1 it is, -1 for the
+	// shared and second levels: a fill on a core's L1 is an event that
+	// touches the core.
+	//fglint:preserved topology constant, derived from the hierarchy on first use
+	l1Core []int32
+	// skipping is set while runSkippingUntil runs; Dispatch settles a lazy
+	// core before an event touches it only then.
+	//fglint:preserved cleared by runSkippingUntil on exit, before Reset or Restore can run
+	skipping bool
 	// wake is the tournament tree over ctrlWake (its leaves alias that
 	// slice): min/min-except/due-enumeration for the run loop without a
 	// per-iteration scan. Derived state — Reset and Restore rebuild it
@@ -164,13 +175,26 @@ func (s *System) bindBusSched() {
 // Dispatch implements ev.Dispatcher: execute one event token. This is
 // the single point where a deferred action — a due event, a fill's
 // synchronous waiter — turns back into the method call it stands for.
+//
+// Under the skipping engine the tokens that change a core's state — its
+// load completing, a fill on its L1 — first settle that core's lazy
+// cycles (settle before touch). A fill's inline waiters arrive with
+// now=0, so the current cycle comes from the System clock.
 func (s *System) Dispatch(t ev.Token, now int64) {
 	switch t.Kind {
 	case ev.CoreSlot:
+		if s.skipping {
+			s.touchCore(int(t.ID))
+		}
 		s.cores[t.ID].CompleteSlot(int(t.Arg))
 	case ev.MSHRStart:
 		s.hier.Node(t.ID).StartFetch(t.Arg)
 	case ev.MSHRFill:
+		if s.skipping {
+			if i := s.l1Core[t.ID]; i >= 0 {
+				s.touchCore(int(i))
+			}
+		}
 		s.hier.Node(t.ID).Fill(t.Arg)
 	}
 }
@@ -299,16 +323,13 @@ func (s *System) ResetWithOpener(cfg Config, open TraceOpener) error {
 	s.clock = 0
 	s.bindBusSched() // the closure captures CPUPerBus, which may change
 	s.events.reset()
-	// The wake/batch scratch slices keep their length (same controller and
-	// core counts); a zero wake forces a tick at the first bus boundary,
-	// exactly like first construction.
+	// The wake slice keeps its length (same controller count); a zero wake
+	// forces a tick at the first bus boundary, exactly like first
+	// construction.
 	for i := range s.ctrlWake {
 		s.ctrlWake[i] = 0
 	}
 	s.wake.rebuild() // re-derive the tournament tree from the zeroed leaves
-	for i := range s.coreBatch {
-		s.coreBatch[i] = 0
-	}
 	return s.initCores(false, open)
 }
 
@@ -627,69 +648,120 @@ func (s *System) runDenseUntil(maxCycles, stopRetired int64) {
 // Cycles in between are either provably no-ops in the dense loop —
 // blocked cores only unblock through scheduler events, and DRAM timing
 // windows only move when a command issues — or pure bubble issue/retire
-// cycles whose dense effect cpu.Core.Advance replays arithmetically, so
-// jumping over them is bit-identical.
+// cycles whose dense effect cpu.Core.AdvanceBatch replays arithmetically,
+// so jumping over them is bit-identical.
+//
+// The same rule holds per core inside an executed cycle: each core has
+// its own wake cycle (coreLazy), and only the cores that are due execute
+// Tick, in ID order. A core that is blocked or mid-batch stays lazy — it
+// touches neither its L1 nor the event queue, so skipping its dense
+// ticks moves nothing the due cores can see — and its cycles are settled
+// in closed form only when something needs its state: before it ticks,
+// before an event touches it (Dispatch), when its batch may finish it,
+// and on exit.
 func (s *System) runSkipping() { s.runSkippingUntil(s.cfg.MaxCycles, 0) }
+
+// coreLazy is one core's schedule in the skipping engine. The core's
+// state includes every cycle through settled; the cycles settled+1 ..
+// wake-1 are lazy — a closed-form bubble batch when batch is set
+// (cpu.Core.AdvanceBatch), else a blocked stretch whose refused ticks
+// cpu.Core.AccountSkipped credits — and wake is the next cycle it must
+// execute a full Tick (maxInt64 while blocked: only an event can wake
+// it). stale marks a core an event touched in the current cycle; its
+// wake is recomputed before the cores tick.
+type coreLazy struct {
+	wake    int64
+	settled int64
+	batch   bool
+	stale   bool
+}
 
 // runSkippingUntil runs the skipping engine until every core is done or
 // the clock reaches maxCycles (exclusive). Factored out so benchmarks
 // can drive the engine for a bounded cycle span. A positive stopRetired
-// pauses the loop once the total retired count reaches it; the executed
-// cycle (or applied jump) completes in full first, so a checkpoint may
-// land a few batched cycles past the threshold — the contract is that
-// pausing and resuming the same engine is bit-identical, not that both
-// engines pause on the same cycle.
+// pauses the loop once the total retired count reaches it; the stop rule
+// is checked at the end of every executed cycle and at the end of every
+// jump, so a checkpoint may land a few batched cycles past the threshold
+// — the contract is that pausing and resuming the same engine is
+// bit-identical, not that both engines pause on the same cycle.
 func (s *System) runSkippingUntil(maxCycles, stopRetired int64) {
 	cpb := s.cfg.CPUPerBus
 	if s.ctrlWake == nil {
 		s.ctrlWake = make([]int64, len(s.ctrls))
-		s.coreBatch = make([]int64, len(s.cores))
 	}
 	if s.wake.wake == nil {
 		s.wake.init(s.ctrlWake)
 	}
-	for s.clock < maxCycles {
-		s.events.fireDue(s.clock, s)
-		if s.clock%cpb == 0 {
-			s.busTick(s.clock / cpb)
+	if s.lazy == nil {
+		s.lazy = make([]coreLazy, len(s.cores))
+		s.l1Core = make([]int32, len(s.hier.Nodes()))
+		for i := range s.l1Core {
+			s.l1Core[i] = -1
 		}
+		for i, l1 := range s.hier.L1s {
+			s.l1Core[l1.NodeID()] = int32(i)
+		}
+	}
+	// Every core enters settled and due at the first cycle, exactly as the
+	// first executed cycle ticks every core.
+	for i := range s.lazy {
+		s.lazy[i] = coreLazy{wake: s.clock, settled: s.clock - 1}
+	}
+	rw := int64(s.cfg.coreConfig().RetireWidth)
+	s.skipping = true
+	for s.clock < maxCycles {
+		t := s.clock
+		s.events.fireDue(t, s)
+		if t%cpb == 0 {
+			s.busTick(t / cpb)
+		}
+		// One pass over the cores: recompute the wakes of cores an event
+		// touched, tick the due ones in ID order, settle batches that end
+		// at t (the cap puts a target crossing on a batch's last cycle),
+		// and gather the next core wake plus an upper bound on the total
+		// retired through t for the stop rule.
+		next := maxCycles
 		allDone := true
-		for _, c := range s.cores {
-			c.Tick(s.clock)
+		var retired, lazySpan, batching int64
+		for i, c := range s.cores {
+			l := &s.lazy[i]
+			if l.stale {
+				l.stale = false
+				s.rewake(i, t-1) // touchCore settled it through t-1
+			}
+			if l.wake == t {
+				s.settleCore(i, t-1)
+				c.Tick(t)
+				l.settled = t
+				s.rewake(i, t)
+			} else if l.wake == t+1 && l.batch {
+				s.settleCore(i, t)
+			}
 			if !c.Done() {
 				allDone = false
 			}
+			retired += c.Retired
+			if l.batch {
+				lazySpan += t - l.settled
+				batching++
+			}
+			if l.wake < next {
+				next = l.wake
+			}
 		}
 		if allDone {
-			s.clock++
+			s.clock = t + 1
 			break
 		}
-		if stopRetired > 0 && s.totalRetired() >= stopRetired {
-			s.clock++
+		// A lazy batch retires at most RetireWidth per cycle, so the exact
+		// count is only needed once the bound reaches the stop target.
+		bound := retired + rw*lazySpan
+		if stopRetired > 0 && bound >= stopRetired && s.retiredThrough(t) >= stopRetired {
+			s.clock = t + 1
 			break
 		}
 
-		next := maxCycles
-		for i, c := range s.cores {
-			w := c.NextWake(s.clock)
-			batch := int64(0)
-			if w == s.clock+1 {
-				// The core is runnable: it must execute its next cycle
-				// normally unless the cycle after the current one starts a
-				// closed-form bubble run, in which case its next full Tick
-				// is only due after the batch.
-				batch = c.BatchableCycles()
-				w += batch
-			}
-			s.coreBatch[i] = batch
-			if w < next {
-				next = w
-				if next <= s.clock+1 {
-					break // can't wake earlier than the next cycle
-				}
-			}
-		}
-		if next > s.clock+1 {
+		if next > t+1 {
 			// Only consult the event queue and the memory system when
 			// every core is blocked or batchable: due events have already
 			// fired, so neither source can be earlier than clock+1.
@@ -702,8 +774,7 @@ func (s *System) runSkippingUntil(maxCycles, stopRetired int64) {
 			// event and the next core wake — advance the memory system in
 			// place instead of surfacing each bus cycle to this loop. The
 			// dense loop's cycles in between are core no-ops (every core
-			// is blocked or mid-bubble-batch; both are settled by the
-			// jump accounting below, which spans these cycles either way)
+			// is blocked or mid-bubble-batch, settled lazily either way)
 			// and fire no events, so the only dense effects are the
 			// controller ticks advanceBus replays in dense order.
 			// Completions scheduled along the way can only pull eventNext
@@ -730,48 +801,110 @@ func (s *System) runSkippingUntil(maxCycles, stopRetired int64) {
 				next = bus
 			}
 		}
-		if next <= s.clock {
-			next = s.clock + 1
+		if next <= t {
+			next = t + 1
 		}
-		// A jump of more than one cycle only happens when every core is
-		// blocked (credit the stall counters for the skipped ticks) or
-		// executing a bubble run the closed form replays. A batching core
-		// can cross its instruction target mid-jump — the batch cap puts
-		// that crossing on the jump's last cycle — so the loop must stop
-		// exactly where the dense loop would have.
-		// skipped > 0 implies the wake scan above ran to completion (an
-		// early break pins next to clock+1), so coreBatch is valid for
-		// every core: positive for batching cores, zero for blocked ones.
-		if skipped := next - s.clock - 1; skipped > 0 {
+		// A jump of more than one cycle passes only lazy cores. The dense
+		// loop's last cycle before the next executed one is where it would
+		// observe a finish or the stop target inside the jump: a batch
+		// ending there may finish its core, and the retired total is
+		// counted in closed form once the bound allows the stop.
+		if e := next - 1; e > t {
 			allDone := true
 			for i, c := range s.cores {
-				if s.coreBatch[i] > 0 {
-					c.AdvanceBatch(s.clock, skipped)
-				} else {
-					c.AccountSkipped(skipped)
+				if c.Done() {
+					continue
 				}
-				if !c.Done() {
-					allDone = false
+				if l := &s.lazy[i]; l.wake == next && l.batch {
+					s.settleCore(i, e)
+					if c.Done() {
+						continue
+					}
 				}
+				allDone = false
+				break
 			}
 			if allDone {
 				s.clock = next // dense clock after its last executed cycle
 				break
 			}
-			if stopRetired > 0 && s.totalRetired() >= stopRetired {
+			if stopRetired > 0 && bound+rw*batching*(e-t) >= stopRetired && s.retiredThrough(e) >= stopRetired {
 				s.clock = next
 				break
 			}
 		}
 		s.clock = next
 	}
+	s.skipping = false
+	// Settle every core through the last executed cycle (s.clock-1 on
+	// every exit path), so Snapshot, Result and RunSlice see the state the
+	// dense loop would have.
+	for i := range s.cores {
+		s.settleCore(i, s.clock-1)
+	}
 	// Settle write-drain credit for controller ticks skipped at the very
 	// end of the run: the dense loop ticks every bus boundary up to the
-	// last executed cycle (s.clock-1 on both exit paths).
+	// last executed cycle.
 	lastBus := (s.clock - 1) / cpb
 	for _, ctrl := range s.ctrls {
 		ctrl.AccountSkippedTail(lastBus)
 	}
+}
+
+// rewake schedules core i after the cycle `now` its state is settled
+// through: due at now+1 if it can run then, unless that cycle starts a
+// closed-form batch, in which case the batch is held lazily and the core
+// is due after it; never (maxInt64) while blocked.
+func (s *System) rewake(i int, now int64) {
+	c, l := s.cores[i], &s.lazy[i]
+	w := c.NextWake(now)
+	l.batch = false
+	if w == now+1 {
+		if b := c.BatchableCycles(); b > 0 {
+			w += b
+			l.batch = true
+		}
+	}
+	l.wake = w
+}
+
+// settleCore applies core i's lazy cycles up to and including `through`:
+// a prefix of its batch in closed form, or the refused ticks of a
+// blocked stretch.
+func (s *System) settleCore(i int, through int64) {
+	l := &s.lazy[i]
+	k := through - l.settled
+	if k <= 0 {
+		return
+	}
+	if l.batch {
+		s.cores[i].AdvanceBatch(l.settled, k)
+	} else {
+		s.cores[i].AccountSkipped(k)
+	}
+	l.settled = through
+}
+
+// touchCore settles core i through the cycle before the current one and
+// marks it stale: an event is about to change its state (settle before
+// touch), after which its wake must be recomputed.
+func (s *System) touchCore(i int) {
+	s.settleCore(i, s.clock-1)
+	s.lazy[i].stale = true
+}
+
+// retiredThrough returns the exact total retired instruction count at
+// the end of cycle e, counting each lazy batch's cycles up to e in
+// closed form (cpu.Core.BatchRetired). Every batch still covers e.
+func (s *System) retiredThrough(e int64) int64 {
+	var total int64
+	for i, c := range s.cores {
+		total += c.Retired
+		if l := &s.lazy[i]; l.batch && l.settled < e {
+			total += c.BatchRetired(e - l.settled)
+		}
+	}
+	return total
 }
 
 const maxInt64 = int64(1<<63 - 1)
