@@ -201,81 +201,6 @@ func BenchmarkSimulatorThroughputMulticore(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
 }
 
-// BenchmarkGangRow pits gang execution against serial execution of one
-// figure row: a single Table-2 application simulated under all six
-// presets. The serial arm mirrors the harness solo path (one System
-// Reset-reused across the row, so workload generation runs six times);
-// the gang arm runs the row as one sim.Gang over a shared instruction
-// stream (generation runs once, teed to all members). Both arms reuse
-// their Systems across b.N iterations, so the comparison is steady
-// state and the ratio isolates the amortized generation work against
-// the gang's interleaving overhead. Generation is a few percent of a
-// run after the engine optimizations of earlier PRs, so expect the
-// arms within noise of each other — the profile satellites in the
-// README show where the remaining 96% goes.
-func BenchmarkGangRow(b *testing.B) {
-	spec, err := workload.ByName("mcf")
-	if err != nil {
-		b.Fatal(err)
-	}
-	mix := workload.Mix{Name: spec.Name, Apps: workload.Sources(spec)}
-	var row []sim.Config
-	for _, p := range sim.Presets() {
-		cfg := sim.DefaultConfig(p, mix)
-		cfg.TargetInsts = 100_000
-		row = append(row, cfg)
-	}
-
-	b.Run("serial", func(b *testing.B) {
-		system, err := sim.New(row[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		var cycles int64
-		for i := 0; i < b.N; i++ {
-			for _, cfg := range row {
-				if err := system.Reset(cfg); err != nil {
-					b.Fatal(err)
-				}
-				res, err := system.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles
-			}
-		}
-		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-	})
-
-	b.Run("gang", func(b *testing.B) {
-		warm, err := sim.NewGang(row, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reuse := warm.Members()
-		b.ResetTimer()
-		var cycles int64
-		for i := 0; i < b.N; i++ {
-			gang, err := sim.NewGang(row, reuse)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results, errs := gang.Run()
-			for _, e := range errs {
-				if e != nil {
-					b.Fatal(e)
-				}
-			}
-			for _, res := range results {
-				cycles += res.Cycles
-			}
-			reuse = gang.Members()
-		}
-		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-	})
-}
-
 // BenchmarkEngineComparison pits the cycle-skipping engine against the
 // dense reference loop on the same memory-intensive Base run, so the
 // speedup is visible directly in the benchmark output.

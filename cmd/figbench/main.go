@@ -64,7 +64,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persistent result cache directory (empty = in-memory only)")
 	force := flag.Bool("force", false, "recompute cached runs and rewrite the persistent cache")
 	customWl := flag.String("workload", "", "comma-separated workloads for the custom experiment (benchmarks, mixes, mt-<app>, trace:FILE)")
-	gang := flag.Bool("gang", true, "execute same-workload runs as one gang over a shared instruction stream (results are bit-identical either way)")
 	worker := flag.String("worker", "", "serve a figserve coordinator at this base URL instead of running locally (scale and experiments come from the coordinator)")
 	workerID := flag.String("worker-id", "", "worker name in coordinator logs (default: host-pid)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
@@ -125,7 +124,6 @@ func main() {
 		Insts: *insts, SingleApps: *apps, MixesPerCategory: *mixes,
 		MCIterations: *mc, Parallelism: *par,
 	}, cache, *force)
-	r.SetGangEnabled(*gang)
 
 	// The catalog is the harness's canonical experiment list — the same
 	// one figserve workers resolve — plus the CLI-only custom experiment,
@@ -192,9 +190,9 @@ func main() {
 			r.SimCycles(), r.SimWallSeconds(), cps/1e6)
 	}
 	st := r.CacheStats()
-	fmt.Printf("result cache: hits=%d (mem=%d disk=%d) misses=%d computed=%d systems=%d built+%d reused gangs=%d ganged=%d",
+	fmt.Printf("result cache: hits=%d (mem=%d disk=%d) misses=%d computed=%d systems=%d built+%d reused",
 		st.Hits(), st.MemHits, st.DiskHits, st.Misses, st.Stores,
-		r.SystemsBuilt(), r.SystemsReused(), r.GangsFormed(), r.GangedRuns())
+		r.SystemsBuilt(), r.SystemsReused())
 	if *cacheDir != "" {
 		fmt.Printf(" dir=%s", *cacheDir)
 	}

@@ -65,8 +65,8 @@ type WorkerOptions struct {
 // RunWorker serves one coordinator until its matrix is complete: fetch
 // the spec, rebuild the identical job index locally (refusing to run on
 // engine or matrix drift), then loop lease -> simulate -> upload. The
-// worker computes through a private in-memory result cache, so gang
-// execution and System reuse work exactly as in a solo figbench run.
+// worker computes through a private in-memory result cache, so the
+// worker pool and System reuse work exactly as in a solo figbench run.
 // Returns nil as soon as any coordinator reply reports the matrix done,
 // abandoning whatever redundant work is still in flight.
 func RunWorker(baseURL string, opts WorkerOptions) error {
@@ -201,10 +201,10 @@ func (w *worker) serveLease(lease Lease, uploads *int) (bool, error) {
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	// One batch run: the runner's worker pool, System reuse, and gang
-	// formation all apply, exactly as in a solo figbench run. It runs
-	// aside so a done heartbeat can abandon it: the process is about to
-	// exit, and the private runner is never touched again.
+	// One batch run: the runner's worker pool and System reuse apply,
+	// exactly as in a solo figbench run. It runs aside so a done
+	// heartbeat can abandon it: the process is about to exit, and the
+	// private runner is never touched again.
 	computed := make(chan error, 1)
 	go func() {
 		_, err := w.runner.RunJobs(cfgs)

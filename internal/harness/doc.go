@@ -7,12 +7,10 @@
 // and renders the same rows and series the paper reports. cmd/figbench
 // drives it at full scale; bench_test.go drives scaled-down versions.
 //
-// Jobs that share a workload stream (same sim.Config.GangKey — the
-// matrix's figure rows, where one app meets every preset) execute as
-// one sim.Gang over a shared instruction stream; the rest run solo.
-// Results are bit-identical either way (SetGangEnabled(false) is the
-// escape hatch, figbench's -gang=false), and cache and dispatch
-// semantics are unchanged — a gang is purely an execution strategy.
+// Every uncached job runs solo on its worker's pooled System: each
+// worker keeps one idle System per shape (sim.Config.ShapeKey) and
+// Reset-retargets it, so a figure row — one app under every preset —
+// builds one System and reuses it for the rest of the row.
 //
 // The Scale struct is the single knob for matrix cost (instruction
 // budget, workload subset, circuit-model iterations, parallelism);

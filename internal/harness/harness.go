@@ -56,9 +56,6 @@ type Runner struct {
 	// force skips the persistent tier on lookups: every run is recomputed
 	// once per process (in-process dedup still applies) and rewritten.
 	force bool
-	// noGang disables gang formation: every uncached run executes solo,
-	// exactly as before the gang engine existed (figbench -gang=false).
-	noGang bool
 
 	mu sync.Mutex
 	// simCycles accumulates the simulated CPU cycles of every computed
@@ -70,9 +67,6 @@ type Runner struct {
 	// sysBuilt / sysReused count fresh sim.New constructions versus
 	// Reset-reuses across all workers (diagnostics for the reuse rate).
 	sysBuilt, sysReused int64
-	// gangsFormed counts executed gangs and gangedRuns the member runs
-	// they carried; computed-minus-ganged runs executed solo.
-	gangsFormed, gangedRuns int64
 	// pools holds idle System pools between runAll batches, so reuse
 	// extends across an experiment sequence (figbench all): a figure's
 	// workers inherit the Systems the previous figure's workers released.
@@ -131,25 +125,9 @@ func (r *Runner) SystemsReused() int64 {
 	return r.sysReused
 }
 
-// SetGangEnabled toggles gang execution (default on). Disabled, every
-// uncached run executes solo — the escape hatch behind figbench's
-// -gang=false, and the serial reference of the CI gang-vs-serial diff.
-func (r *Runner) SetGangEnabled(enabled bool) { r.noGang = !enabled }
-
-// GangsFormed returns how many gangs runAll executed.
-func (r *Runner) GangsFormed() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gangsFormed
-}
-
-// GangedRuns returns how many computed runs executed as gang members
-// (the remainder of the computed runs executed solo).
-func (r *Runner) GangedRuns() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gangedRuns
-}
+// GangsFormed always returns 0. Every job runs solo; the method stays
+// because figperf reports it as harness.gangs_formed.
+func (r *Runner) GangsFormed() int64 { return 0 }
 
 // results holds one batch's completed runs keyed by fingerprint; of is
 // the lookup the figure builders use (recomputing a configuration's
@@ -168,33 +146,12 @@ func (rs results) of(cfg sim.Config) sim.Result {
 
 // systemPool reuses sim.Systems across jobs of compatible shape. Each
 // worker checks out one pool for the duration of a batch, so reuse needs
-// no locking and a System is never shared between goroutines. A shape
-// maps to a stack of idle Systems — a gang job checks out one per member
-// and returns them all, so the pool's depth grows to the largest gang a
-// worker has executed.
+// no locking and a System is never shared between goroutines. A worker
+// runs one job at a time, so the pool holds at most one idle System per
+// shape.
 type systemPool struct {
-	systems       map[string][]*sim.System
+	idle          map[string]*sim.System
 	built, reused int64
-	// gangs/ganged mirror the runner's gang counters at pool scope,
-	// folded into the totals by returnPool like built/reused.
-	gangs, ganged int64
-}
-
-// take pops an idle System of the shape, or returns nil.
-func (p *systemPool) take(key string) *sim.System {
-	stack := p.systems[key]
-	if n := len(stack); n > 0 {
-		sys := stack[n-1]
-		stack[n-1] = nil
-		p.systems[key] = stack[:n-1]
-		return sys
-	}
-	return nil
-}
-
-// put returns an idle System to the shape's stack.
-func (p *systemPool) put(key string, sys *sim.System) {
-	p.systems[key] = append(p.systems[key], sys)
 }
 
 // checkoutPool hands a worker an idle pool (with the Systems a previous
@@ -208,7 +165,7 @@ func (r *Runner) checkoutPool() *systemPool {
 		r.pools = r.pools[:n-1]
 		return p
 	}
-	return &systemPool{systems: make(map[string][]*sim.System)}
+	return &systemPool{idle: make(map[string]*sim.System)}
 }
 
 // returnPool takes a pool back at the end of a batch, folding its
@@ -218,25 +175,24 @@ func (r *Runner) returnPool(p *systemPool) {
 	defer r.mu.Unlock()
 	r.sysBuilt += p.built
 	r.sysReused += p.reused
-	r.gangsFormed += p.gangs
-	r.gangedRuns += p.ganged
-	p.built, p.reused, p.gangs, p.ganged = 0, 0, 0, 0
+	p.built, p.reused = 0, 0
 	r.pools = append(r.pools, p)
 }
 
-// run executes one configuration, on a Reset-reused System when the pool
-// holds one of the right shape, freshly constructed otherwise.
+// run executes one configuration, on the pool's idle System of the
+// right shape when it has one (Reset-reused), freshly constructed
+// otherwise.
 func (p *systemPool) run(cfg sim.Config) (sim.Result, error) {
 	key := cfg.ShapeKey()
-	if sys := p.take(key); sys != nil {
+	if sys := p.idle[key]; sys != nil {
 		if err := sys.Reset(cfg); err == nil {
 			p.reused++
-			p.put(key, sys)
 			return sys.Run()
 		}
 		// A failed Reset leaves the System partially reinitialized; drop
 		// it and rebuild. (Shape mismatches cannot happen under ShapeKey
 		// keying; this covers config errors surfaced mid-Reset.)
+		delete(p.idle, key)
 	}
 	sys, err := sim.New(cfg)
 	if err != nil {
@@ -246,41 +202,8 @@ func (p *systemPool) run(cfg sim.Config) (sim.Result, error) {
 	// A Run error (instruction target not reached within MaxCycles) does
 	// not poison the System: Reset reinitializes every piece of state, so
 	// the System stays pooled either way.
-	p.put(key, sys)
+	p.idle[key] = sys
 	return sys.Run()
-}
-
-// runGang executes a group of same-workload configurations as one
-// sim.Gang over a shared instruction stream, reusing pooled Systems for
-// as many members as the shape stack holds. ok=false reports that the
-// gang could not be assembled (a member construction or Reset failed);
-// the caller falls back to solo execution, which reproduces — and
-// properly attributes — any per-configuration error.
-func (p *systemPool) runGang(cfgs []sim.Config) (results []sim.Result, errs []error, ok bool) {
-	key := cfgs[0].ShapeKey() // GangKey folds in the shape, so all members share it
-	var reuse []*sim.System
-	for len(reuse) < len(cfgs) {
-		sys := p.take(key)
-		if sys == nil {
-			break
-		}
-		reuse = append(reuse, sys)
-	}
-	g, err := sim.NewGang(cfgs, reuse)
-	if err != nil {
-		// The reuse Systems may be partially reinitialized or hold readers
-		// of the abandoned gang's shared stream; discard them.
-		return nil, nil, false
-	}
-	p.reused += int64(len(reuse))
-	p.built += int64(len(cfgs) - len(reuse))
-	p.gangs++
-	p.ganged += int64(len(cfgs))
-	results, errs = g.Run()
-	for _, sys := range g.Members() {
-		p.put(key, sys)
-	}
-	return results, errs, true
 }
 
 // runAll executes the configurations (deduplicated by fingerprint and
@@ -327,33 +250,10 @@ func (r *Runner) runAll(cfgs []sim.Config) (results, error) {
 		return out, nil
 	}
 
-	// Partition the uncached runs into jobs: groups of same-workload
-	// configurations (equal sim.Config.GangKey) execute as one gang over a
-	// shared instruction stream; singletons — and everything when gangs
-	// are disabled — execute solo. Each job element indexes todo/fps.
-	// First-seen group order keeps job order deterministic.
-	var jobs [][]int
-	if r.noGang {
-		for i := range todo {
-			jobs = append(jobs, []int{i})
-		}
-	} else {
-		groups := make(map[string]int, len(todo))
-		for i, cfg := range todo {
-			key := cfg.GangKey()
-			if j, ok := groups[key]; ok {
-				jobs[j] = append(jobs[j], i)
-			} else {
-				groups[key] = len(jobs)
-				jobs = append(jobs, []int{i})
-			}
-		}
-	}
-
 	batchStart := time.Now()
 	workers := r.scale.Parallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(todo) {
+		workers = len(todo)
 	}
 	var next atomic.Int64
 	var mu sync.Mutex
@@ -365,18 +265,20 @@ func (r *Runner) runAll(cfgs []sim.Config) (results, error) {
 			defer wg.Done()
 			pool := r.checkoutPool()
 			defer r.returnPool(pool)
-			// finish records one member run's outcome: failures are
-			// collected per run (a gang sibling's failure never hides a
-			// completed run), successes are persisted immediately (disk
-			// failures degrade to in-memory caching; expcache records them
-			// in its stats).
-			finish := func(i int, res sim.Result, err error) {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(todo) {
+					return
+				}
+				res, err := pool.run(todo[i])
 				if err != nil {
 					mu.Lock()
 					failures = append(failures, fmt.Errorf("%s: %w", todo[i].Describe(), err))
 					mu.Unlock()
-					return
+					continue
 				}
+				// Disk failures degrade to in-memory caching; expcache
+				// records them in its stats.
 				_ = r.cache.Put(fps[i], res)
 				mu.Lock()
 				out[fps[i]] = res
@@ -384,32 +286,6 @@ func (r *Runner) runAll(cfgs []sim.Config) (results, error) {
 				r.mu.Lock()
 				r.simCycles += res.Cycles
 				r.mu.Unlock()
-			}
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(jobs) {
-					return
-				}
-				job := jobs[j]
-				if len(job) > 1 {
-					cfgs := make([]sim.Config, len(job))
-					for k, i := range job {
-						cfgs[k] = todo[i]
-					}
-					if results, errs, ok := pool.runGang(cfgs); ok {
-						for k, i := range job {
-							finish(i, results[k], errs[k])
-						}
-						continue
-					}
-					// Gang assembly failed (a member's construction or Reset
-					// errored): fall through to solo runs, which reproduce
-					// and attribute every per-configuration error.
-				}
-				for _, i := range job {
-					res, err := pool.run(todo[i])
-					finish(i, res, err)
-				}
 			}
 		}()
 	}

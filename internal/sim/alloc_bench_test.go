@@ -86,62 +86,6 @@ func BenchmarkAccessPathAllocsReloc(b *testing.B) {
 	b.ReportMetric(float64(50_000*b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
-// BenchmarkAccessPathAllocsGang drives the same steady-state access
-// path through a two-member gang, so every record flows through the
-// shared stream tee (workload.Tee). The warm-up slices grow the tee's
-// ring to the members' steady-state drift; from then on the ganged
-// access path must be allocation-free, same as the solo one. The
-// members pair Base with LL-DRAM: their very different memory
-// latencies keep the members' cursors genuinely drifting through the
-// ring rather than marching in lockstep. (Relocation presets are
-// covered solo by BenchmarkAccessPathAllocsReloc.)
-func BenchmarkAccessPathAllocsGang(b *testing.B) {
-	spec, err := workload.ByName("mcf")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig(Base, workload.Mix{Name: "mcf", Apps: workload.Sources(spec)})
-	// Unreachable targets: the benchmark measures the steady state, not
-	// a completed run (a completed member would close its tee cursor).
-	cfg.TargetInsts = 1 << 40
-	cfg.MaxCycles = 1 << 62
-	sib := cfg
-	sib.Preset = LLDRAM
-	gang, err := NewGang([]Config{cfg, sib}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	members := gang.Members()
-	// Advance the member with the fewest consumed records, exactly like
-	// Gang.Run: laggard-first scheduling is what bounds the cursor drift
-	// and with it the tee ring. Naive alternation would let the faster
-	// preset pull ahead without bound and grow the ring every round.
-	step := func() {
-		best, bestC := -1, uint64(0)
-		for i := range members {
-			if c := gang.consumed(i); best < 0 || c < bestC {
-				best, bestC = i, c
-			}
-		}
-		members[best].RunSlice(50_000)
-	}
-	for i := 0; i < 16; i++ { // warm pools, the event heap, and the tee ring
-		step()
-	}
-
-	allocs := testing.AllocsPerRun(5, step)
-	b.ReportMetric(allocs, "allocs/op")
-	if allocs > 0 {
-		b.Fatalf("steady-state gang access path allocated %.1f times per 50k-cycle span, want 0", allocs)
-	}
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-	b.ReportMetric(float64(50_000*b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
-}
-
 // BenchmarkAccessPathAllocsMulticore drives the eight-core access path
 // the way checkpointed multi-core windows run it: bounded engine spans
 // that end on the RunUntilRetired stop rule. It covers the skipping

@@ -30,8 +30,10 @@
 //
 //   - System reuse. System.Reset retargets a built System to any
 //     same-shape configuration (Config.ShapeKey), reusing its long-lived
-//     allocations; a Reset-reused System must remain bit-identical to a
-//     freshly constructed one (also enforced by TestEngineEquivalence).
+//     allocations; the harness keeps one idle System per shape on each
+//     worker and runs every job solo on it. A Reset-reused System must
+//     remain bit-identical to a freshly constructed one (also enforced
+//     by TestEngineEquivalence).
 //
 //   - Checkpoint/restore. System.Snapshot serializes the complete
 //     mid-run state of every layer into the versioned FGSS format
@@ -42,11 +44,4 @@
 //     restored into a fresh System — finishes bit-identical to an
 //     uninterrupted run, for both engines (TestEngineEquivalence's
 //     checkpoint-at-K cases).
-//
-//   - Gang execution. Gang (gang.go) runs N same-workload Systems in
-//     interleaved slices over one shared instruction stream
-//     (workload.Tee), with each member's Result bit-identical to its
-//     solo run — a pure execution-strategy change under the same
-//     EngineVersion, so gang-computed and solo-computed cache entries
-//     are interchangeable. Config.GangKey is the grouping identity.
 package sim

@@ -89,35 +89,6 @@ func (c Config) ShapeKey() string {
 	return fmt.Sprintf("%dch-%dcore", norm.Channels, len(norm.Mix.Apps))
 }
 
-// GangKey identifies the workload portion of a run's identity: two
-// configurations with equal gang keys open every core's workload source
-// with identical parameters, so their Systems consume the identical
-// per-core instruction stream and can execute as one gang (sim.Gang)
-// over a shared decoded stream. The key folds in everything
-// System.initCores derives the open parameters from — the sources'
-// canonical identities, the seed, the address-window geometry (total
-// capacity, row stride, shared-vs-partitioned footprint) and the shape —
-// and deliberately nothing about timing: presets, FIG/LISA overrides,
-// clock ratios, instruction targets and engine selection are free to
-// differ within a gang. The harness partitions its todo list by this key
-// before falling back to solo workers.
-func (c Config) GangKey() string {
-	norm := c
-	_ = norm.normalize()
-	geo := norm.geometry()
-	h := sha256.New()
-	fmt.Fprintf(h, "gang channels=%d cores=%d seed=%d shared=%t total=%d rowstride=%d\n",
-		norm.Channels, len(norm.Mix.Apps), norm.Seed, norm.SharedFootprint,
-		int64(norm.Channels)*geo.ChannelBytes(),
-		uint64(geo.RowBytes)*uint64(norm.Channels)*uint64(geo.BanksPerRank())*uint64(geo.Ranks))
-	for _, a := range norm.Mix.Apps {
-		a.WriteCanonical(h)
-	}
-	var fp Fingerprint
-	h.Sum(fp[:0])
-	return fp.String()
-}
-
 // Describe returns a short human-readable run identity for error messages
 // and logs (not a cache key; Fingerprint is the identity).
 func (c Config) Describe() string {

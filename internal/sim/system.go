@@ -77,15 +77,12 @@ type System struct {
 // TraceOpener resolves one core's workload source into the trace reader
 // that feeds it, given the exact parameters System.initCores derives from
 // the configuration (per-core seed, address window, physical layout).
-// A nil opener means the default resolution, workload.Source.Open. The
-// gang engine substitutes an opener that routes every member of a gang
-// through one shared workload.Tee — after verifying the parameters match
-// the leader's, which is what makes the shared stream bit-identical to
-// each member's solo stream.
+// A nil opener means the default resolution, workload.Source.Open.
+// figperf's record timer is the one non-default opener: it wraps every
+// reader to time its Next calls, for per-layer attribution.
 //
-// The opener is a construction/Reset-time parameter, never stored on the
-// System: a pooled System Reset without an opener always reverts to solo
-// source resolution.
+// The opener is a construction-time parameter, never stored on the
+// System: Reset always reverts to the default source resolution.
 type TraceOpener func(core int, src workload.Source, seed, base, span uint64, layout workload.Layout) (cpu.TraceReader, error)
 
 // New builds a system for the configuration.
@@ -282,12 +279,7 @@ var ErrShapeMismatch = errors.New("sim: Reset config shape differs from the Syst
 //
 // The in-DRAM cache hooks are rebuilt rather than reset: their tag-store
 // state is configuration-dependent and tiny next to the arrays above.
-func (s *System) Reset(cfg Config) error { return s.ResetWithOpener(cfg, nil) }
-
-// ResetWithOpener is Reset with an explicit workload-source resolver
-// (nil selects the default, workload.Source.Open). See TraceOpener; the
-// gang engine uses it to retarget pooled Systems into gang members.
-func (s *System) ResetWithOpener(cfg Config, open TraceOpener) error {
+func (s *System) Reset(cfg Config) error {
 	if err := cfg.normalize(); err != nil {
 		return err
 	}
@@ -330,7 +322,7 @@ func (s *System) ResetWithOpener(cfg Config, open TraceOpener) error {
 		s.ctrlWake[i] = 0
 	}
 	s.wake.rebuild() // re-derive the tournament tree from the zeroed leaves
-	return s.initCores(false, open)
+	return s.initCores(false, nil)
 }
 
 // LevelScheduler implements cache.LevelSchedulerFactory: cache levels get
@@ -516,14 +508,6 @@ func (s *System) Run() (Result, error) {
 	} else {
 		s.runSkipping()
 	}
-	return s.finishRun()
-}
-
-// finishRun validates that a completed execution reached every core's
-// instruction target and collects the run's Result. Shared verbatim by
-// Run and the gang engine so a gang member fails with the exact error a
-// solo run would.
-func (s *System) finishRun() (Result, error) {
 	for _, c := range s.cores {
 		if !c.Done() {
 			return Result{}, fmt.Errorf("sim: core %d retired only %d/%d instructions in %d cycles",
@@ -531,36 +515,6 @@ func (s *System) finishRun() (Result, error) {
 		}
 	}
 	return s.collect(), nil
-}
-
-// RunSlice advances the run by at most `cycles` CPU cycles and reports
-// whether the run is complete (every core reached its target, or the
-// MaxCycles safety net expired). It is the gang engine's scheduling
-// quantum: interleaving RunSlice calls across gang members is
-// bit-identical to running each member's Run() to completion, because
-// pausing either engine at a cycle boundary and resuming it replays
-// exactly the dense loop's per-cycle effects — the same contract
-// RunUntilRetired's checkpoint stop-point relies on, pinned by
-// TestEngineEquivalence (gang and checkpoint cases).
-func (s *System) RunSlice(cycles int64) bool {
-	limit := s.clock + cycles
-	if limit > s.cfg.MaxCycles {
-		limit = s.cfg.MaxCycles
-	}
-	if s.cfg.DenseLoop {
-		s.runDenseUntil(limit, 0)
-	} else {
-		s.runSkippingUntil(limit, 0)
-	}
-	if s.clock >= s.cfg.MaxCycles {
-		return true
-	}
-	for _, c := range s.cores {
-		if !c.Done() {
-			return false
-		}
-	}
-	return true
 }
 
 // totalRetired sums the retired instruction count across all cores.
@@ -595,15 +549,9 @@ func (s *System) RunUntilRetired(target int64) {
 // CPU cycle. A positive stopRetired pauses the loop once the total
 // retired instruction count reaches it: the current cycle completes in
 // full, so a snapshot taken at the pause resumes bit-identically.
-func (s *System) runDense(stopRetired int64) { s.runDenseUntil(s.cfg.MaxCycles, stopRetired) }
-
-// runDenseUntil runs the dense engine until every core is done or the
-// clock reaches maxCycles (exclusive). Factored out so RunSlice can
-// drive the reference loop for a bounded cycle span; splitting the loop
-// at any cycle boundary is trivially bit-identical.
-func (s *System) runDenseUntil(maxCycles, stopRetired int64) {
+func (s *System) runDense(stopRetired int64) {
 	cpb := s.cfg.CPUPerBus
-	for ; s.clock < maxCycles; s.clock++ {
+	for ; s.clock < s.cfg.MaxCycles; s.clock++ {
 		s.events.fireDue(s.clock, s)
 		if s.clock%cpb == 0 {
 			busNow := s.clock / cpb
@@ -837,7 +785,7 @@ func (s *System) runSkippingUntil(maxCycles, stopRetired int64) {
 	}
 	s.skipping = false
 	// Settle every core through the last executed cycle (s.clock-1 on
-	// every exit path), so Snapshot, Result and RunSlice see the state the
+	// every exit path), so Snapshot and Result see the state the
 	// dense loop would have.
 	for i := range s.cores {
 		s.settleCore(i, s.clock-1)
