@@ -2,9 +2,7 @@ package cache
 
 import (
 	"fmt"
-	"unsafe"
 
-	"repro/internal/arena"
 	"repro/internal/ev"
 )
 
@@ -125,24 +123,6 @@ type Cache struct {
 
 // New builds a cache level on top of next.
 func New(cfg Config, next Backend, sched Scheduler, coreID int) (*Cache, error) {
-	return NewIn(nil, cfg, next, sched, coreID)
-}
-
-// LineArrayBytes returns the size of the flat line array New allocates
-// for this configuration — the dominant memory of a cache level — so a
-// caller providing an arena can pre-size it.
-func (c Config) LineArrayBytes() int {
-	if c.Ways <= 0 || c.BlockBytes <= 0 {
-		return 0
-	}
-	sets := c.SizeBytes / (c.Ways * c.BlockBytes)
-	return sets * c.Ways * int(unsafe.Sizeof(line{}))
-}
-
-// NewIn builds a cache level on top of next, carving the line array out
-// of a (the line struct is pointer-free by design). A nil arena keeps
-// the plain heap allocation.
-func NewIn(a *arena.Arena, cfg Config, next Backend, sched Scheduler, coreID int) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -153,7 +133,7 @@ func NewIn(a *arena.Arena, cfg Config, next Backend, sched Scheduler, coreID int
 	setsN := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
 	c := &Cache{
 		cfg:    cfg,
-		lines:  arena.Slice[line](a, setsN*cfg.Ways),
+		lines:  make([]line, setsN*cfg.Ways),
 		setsN:  uint64(setsN),
 		next:   next,
 		sched:  sched,

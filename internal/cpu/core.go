@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/arena"
 	"repro/internal/cache"
 	"repro/internal/ev"
 )
@@ -101,12 +100,6 @@ type Core struct {
 
 // New builds a core reading trace and accessing the hierarchy through l1.
 func New(id int, cfg Config, trace TraceReader, l1 *cache.Cache, targetInsts int64) (*Core, error) {
-	return NewIn(nil, id, cfg, trace, l1, targetInsts)
-}
-
-// NewIn is New with the window rings (done/epoch/issueEp — all
-// pointer-free) carved out of a. A nil arena keeps plain allocations.
-func NewIn(a *arena.Arena, id int, cfg Config, trace TraceReader, l1 *cache.Cache, targetInsts int64) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,9 +111,9 @@ func NewIn(a *arena.Arena, id int, cfg Config, trace TraceReader, l1 *cache.Cach
 		cfg:         cfg,
 		trace:       trace,
 		l1:          l1,
-		done:        arena.Slice[bool](a, cfg.WindowSize),
-		epoch:       arena.Slice[int64](a, cfg.WindowSize),
-		issueEp:     arena.Slice[int64](a, cfg.WindowSize),
+		done:        make([]bool, cfg.WindowSize),
+		epoch:       make([]int64, cfg.WindowSize),
+		issueEp:     make([]int64, cfg.WindowSize),
 		TargetInsts: targetInsts,
 	}
 	return c, nil

@@ -217,11 +217,6 @@ func (s *System) Restore(in io.Reader) error {
 			s.ctrlWake[i] = r.I64()
 		}
 	}
-	// The wake tournament tree is derived state: re-point it at the (possibly
-	// freshly allocated) leaf slice and rebuild the internal nodes.
-	if s.ctrlWake != nil {
-		s.wake.init(s.ctrlWake)
-	}
 	r.EndSection()
 
 	r.Section(snapSecEvents)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/dram"
@@ -51,27 +50,12 @@ type System struct {
 	// core before an event touches it only then.
 	//fglint:preserved cleared by runSkippingUntil on exit, before Reset or Restore can run
 	skipping bool
-	// wake is the tournament tree over ctrlWake (its leaves alias that
-	// slice): min/min-except/due-enumeration for the run loop without a
-	// per-iteration scan. Derived state — Reset and Restore rebuild it
-	// from the leaf values.
-	wake busWake
-	// dueIDs is per-call scratch for the due-controller enumeration.
-	//fglint:preserved scratch; truncated and refilled by every advanceBus call before use
-	dueIDs []int32
 
 	// latencyLanes maps a fixed cache-level latency to its FIFO lane
 	// scheduler (see LevelScheduler); lanes are bound once at construction
 	// and survive Reset.
 	//fglint:preserved lane bindings are config-determined; eventQueue.reset clears the lanes' state
 	latencyLanes map[int64]*laneScheduler
-
-	// arena backs every pointer-free array the System is built from —
-	// cache line arrays, DRAM bank state, controller per-bank registers,
-	// core window rings — so construction is a handful of chunk
-	// allocations instead of one per array. Filled only during
-	// construction; Reset reuses the carved slices in place.
-	arena *arena.Arena
 }
 
 // TraceOpener resolves one core's workload source into the trace reader
@@ -102,13 +86,6 @@ func NewWithOpener(cfg Config, open TraceOpener) (*System, error) {
 	fast := slow.Fast(dram.PaperFastScale())
 	allFast := cfg.Preset == LLDRAM
 
-	// The cache line arrays dominate the footprint; the bank/controller/
-	// core arrays add a few kilobytes the slack covers, and the arena
-	// grows if a shape outruns the hint.
-	hcfg := cfg.hierarchyConfig()
-	s.arena = arena.New(hcfg.LineArrayBytes() + 32<<10)
-	hcfg.Arena = s.arena
-
 	mapper, err := memctrl.NewAddrMapper(geo, cfg.Channels)
 	if err != nil {
 		return nil, err
@@ -116,7 +93,7 @@ func NewWithOpener(cfg Config, open TraceOpener) (*System, error) {
 	s.mapper = mapper
 
 	for ch := 0; ch < cfg.Channels; ch++ {
-		channel, err := dram.NewChannelIn(s.arena, geo, slow, fast, allFast)
+		channel, err := dram.NewChannel(geo, slow, fast, allFast)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +105,7 @@ func NewWithOpener(cfg Config, open TraceOpener) (*System, error) {
 		mcCfg.ImmediateReloc = cfg.ImmediateReloc
 		s.channels = append(s.channels, channel)
 		s.hooks = append(s.hooks, hook)
-		s.ctrls = append(s.ctrls, memctrl.NewControllerIn(s.arena, ch, mcCfg, channel, hook))
+		s.ctrls = append(s.ctrls, memctrl.NewController(ch, mcCfg, channel, hook))
 	}
 
 	s.adapter = &memAdapter{sys: s}
@@ -147,7 +124,7 @@ func NewWithOpener(cfg Config, open TraceOpener) (*System, error) {
 		ctrl.Release = s.adapter.release
 	}
 	s.bindBusSched()
-	hier, err := cache.NewHierarchy(hcfg, s.adapter, s)
+	hier, err := cache.NewHierarchy(cfg.hierarchyConfig(), s.adapter, s)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +227,7 @@ func (s *System) initCores(fresh bool, open TraceOpener) error {
 			return err
 		}
 		if fresh {
-			c, err := cpu.NewIn(s.arena, i, cfg.coreConfig(), gen, s.hier.L1s[i], cfg.TargetInsts)
+			c, err := cpu.New(i, cfg.coreConfig(), gen, s.hier.L1s[i], cfg.TargetInsts)
 			if err != nil {
 				return err
 			}
@@ -321,7 +298,6 @@ func (s *System) Reset(cfg Config) error {
 	for i := range s.ctrlWake {
 		s.ctrlWake[i] = 0
 	}
-	s.wake.rebuild() // re-derive the tournament tree from the zeroed leaves
 	return s.initCores(false, nil)
 }
 
@@ -637,9 +613,6 @@ func (s *System) runSkippingUntil(maxCycles, stopRetired int64) {
 	if s.ctrlWake == nil {
 		s.ctrlWake = make([]int64, len(s.ctrls))
 	}
-	if s.wake.wake == nil {
-		s.wake.init(s.ctrlWake)
-	}
 	if s.lazy == nil {
 		s.lazy = make([]coreLazy, len(s.cores))
 		s.l1Core = make([]int32, len(s.hier.Nodes()))
@@ -719,24 +692,18 @@ func (s *System) runSkippingUntil(maxCycles, stopRetired int64) {
 			}
 			// Memory-only fast path: while the earliest thing anywhere in
 			// the machine is controller work — strictly before the next
-			// event and the next core wake — advance the memory system in
-			// place instead of surfacing each bus cycle to this loop. The
-			// dense loop's cycles in between are core no-ops (every core
-			// is blocked or mid-bubble-batch, settled lazily either way)
-			// and fire no events, so the only dense effects are the
-			// controller ticks advanceBus replays in dense order.
-			// Completions scheduled along the way can only pull eventNext
-			// earlier, never invalidate work already done at earlier
-			// cycles, because every scheduled cycle lies beyond the bus
-			// cycles already ticked (advanceBus's span horizon enforces
-			// that for multi-cycle controller spans).
+			// event and the next core wake — tick the due controllers in
+			// place, one bus cycle at a time, instead of surfacing each
+			// bus cycle to this loop. The dense loop's cycles in between
+			// are core no-ops (every core is blocked or mid-bubble-batch,
+			// settled lazily either way) and fire no events, so the only
+			// dense effects are the controller ticks busTick replays in
+			// ID order. Completions scheduled along the way can only pull
+			// eventNext earlier, never invalidate work already done: each
+			// lies beyond the bus cycle whose tick scheduled it.
 			bus := s.nextBusWork(cpb)
 			for bus < next && bus < eventNext {
-				horizon := next
-				if eventNext < horizon {
-					horizon = eventNext
-				}
-				s.advanceBus(bus/cpb, horizon)
+				s.busTick(bus / cpb)
 				if at, ok := s.events.nextAt(); ok && at < eventNext {
 					eventNext = at
 				}
@@ -868,57 +835,21 @@ func (s *System) busTick(busNow int64) {
 		if s.ctrlWake[i] > busNow && !s.adapter.enqueued[i] {
 			continue
 		}
-		s.wake.set(i, ctrl.Tick(busNow, s.busSched))
-	}
-}
-
-// advanceBus performs the memory system's work at bus cycle busNow while
-// the rest of the machine is provably idle until the CPU cycle horizon
-// (exclusive): no event fires and no core executes before it. Three
-// dense-order-preserving cases:
-//
-//   - buffered requests are waiting for queue space: the boundary is a
-//     full drain-plus-tick, identical to an executed dense boundary;
-//   - exactly one controller is due and no other becomes due before the
-//     horizon: that controller runs a multi-cycle span (TickSpan) — its
-//     micro-engine — since no cross-layer interaction can interleave;
-//   - otherwise each due controller ticks once, in ID order, exactly as
-//     the dense loop interleaves same-cycle controller work.
-func (s *System) advanceBus(busNow, horizon int64) {
-	if len(s.adapter.pending) > 0 {
-		s.busTick(busNow)
-		return
-	}
-	cpb := s.cfg.CPUPerBus
-	s.dueIDs = s.wake.appendDue(busNow, s.dueIDs[:0])
-	if len(s.dueIDs) == 1 {
-		i := int(s.dueIDs[0])
-		// Controller ticks at bus cycle b are hidden from the rest of the
-		// machine while b*cpb < horizon: b < ceil(horizon/cpb). Another
-		// controller's wake bounds the span too — at that cycle the dense
-		// loop interleaves both controllers in ID order, which the
-		// single-controller span cannot reproduce on its own.
-		hor := (horizon + cpb - 1) / cpb
-		if other := s.wake.minExcept(i); other < hor {
-			hor = other
-		}
-		if hor > busNow+1 {
-			s.wake.set(i, s.ctrls[i].TickSpan(busNow, hor, s.busSched))
-			return
-		}
-	}
-	for _, id := range s.dueIDs {
-		i := int(id)
-		s.wake.set(i, s.ctrls[i].Tick(busNow, s.busSched))
+		s.ctrlWake[i] = ctrl.Tick(busNow, s.busSched)
 	}
 }
 
 // nextBusWork returns the next CPU cycle at which the memory system needs
-// a bus tick: the earliest controller next-work probe (tracked by the
-// wake tree), or the very next bus boundary while the adapter still
-// buffers requests that must retry entering a full controller queue.
+// a bus tick: the earliest controller next-work probe, or the very next
+// bus boundary while the adapter still buffers requests that must retry
+// entering a full controller queue.
 func (s *System) nextBusWork(cpb int64) int64 {
-	next := s.wake.min()
+	next := maxInt64
+	for _, w := range s.ctrlWake {
+		if w < next {
+			next = w
+		}
+	}
 	if next != maxInt64 {
 		next *= cpb
 	}
