@@ -8,23 +8,28 @@
 //     global row buffer, supporting unaligned source/destination columns
 //     (Section 4.1, Figure 4).
 //
-//   - FIGCache (figcache.go, fts.go, replacement.go, rowindex.go): a
-//     fine-grained in-DRAM cache built on FIGARO. It caches row segments
-//     (default 1/8 of a row) from slow subarrays into a small set of cache
-//     rows, tracked by a tag store (FTS) in the memory controller, with an
-//     insert-any-miss insertion policy and a row-granularity benefit-based
-//     replacement policy (Section 5).
+//   - FIGCache (figcache.go, fts.go, replacement.go): a fine-grained
+//     in-DRAM cache built on FIGARO. It caches row segments (default 1/8
+//     of a row) from slow subarrays into a small set of cache rows,
+//     tracked by a tag store (FTS) in the memory controller, with an
+//     insert-any-miss insertion policy and a row-granularity
+//     benefit-based replacement policy (Section 5). The FTS keeps each
+//     cache row's benefit sum incrementally, so that policy scans rows,
+//     not slots.
 //
-//   - LISA-VILLA (lisa.go): the state-of-the-art in-DRAM cache baseline the
-//     paper compares against — whole-row caching into 16 fast subarrays
-//     interleaved among slow subarrays, with distance-dependent relocation
-//     latency (Section 3).
+//   - LISA-VILLA: the state-of-the-art in-DRAM cache baseline the paper
+//     compares against (Section 3) is the same kind of cache with other
+//     settings, built by LISAVillaConfig: whole-row segments cached into
+//     16 fast subarrays interleaved among the slow ones, inserted after
+//     two misses with decaying counts, LRU replacement, and relocation by
+//     LISA row-buffer movement, whose latency grows with the hop distance
+//     (SubstrateLISA).
 //
 // The timing integration with the memory controller goes through
 // memctrl.CacheHook; this package owns all cache metadata and policy
 // decisions, while the controller and internal/dram charge the cycles.
 //
-// FIGCache.Snapshot/Restore and LISAVilla.Snapshot/Restore
-// (snapshot.go) serialize the tag stores, replacement state, and hot
-// counters for the system checkpoint lifecycle (sim.System.Snapshot).
+// FIGCache.Snapshot/Restore (snapshot.go) serialize the tag stores,
+// replacement state, and insertion-policy counters for the system
+// checkpoint lifecycle (sim.System.Snapshot).
 package core

@@ -25,6 +25,11 @@ type FIGCacheConfig struct {
 	InsertThreshold int
 	// BenefitBits is the width of the per-segment benefit counter (5).
 	BenefitBits int
+	// DecayMisses, when positive, halves every per-segment miss count
+	// after this many counted misses in a bank, so segments whose misses
+	// are old lose their progress toward InsertThreshold (LISA-VILLA's
+	// hot-row detector). Zero keeps counts until the segment is inserted.
+	DecayMisses int
 	// ReservedSubarray, when >= 0, marks the slow subarray whose rows host
 	// the cache in the FIGCache-Slow organization. Segments belonging to
 	// that subarray are never cached, because FIGARO cannot relocate data
@@ -37,19 +42,22 @@ type FIGCacheConfig struct {
 }
 
 // Substrate enumerates the relocation mechanisms FIGCache can be built
-// on: FIGARO (the paper's contribution; bank-local, distance-independent)
-// or RowClone-PSM (the Section 10 related-work baseline, which moves data
-// over the shared internal global data bus and blocks the whole channel).
+// on: FIGARO (the paper's contribution; bank-local, distance-independent),
+// RowClone-PSM (the Section 10 related-work baseline, which moves data
+// over the shared internal global data bus and blocks the whole channel),
+// or LISA row-buffer movement (LISA-VILLA's whole-row copy, whose latency
+// grows with the hop distance to the nearest fast subarray).
 type Substrate int
 
 const (
 	SubstrateFIGARO Substrate = iota
 	SubstrateRowClonePSM
+	SubstrateLISA
 
 	numSubstrates
 )
 
-var substrateNames = [numSubstrates]string{"FIGARO", "RowClone-PSM"}
+var substrateNames = [numSubstrates]string{"FIGARO", "RowClone-PSM", "LISA"}
 
 func (s Substrate) String() string {
 	if s < 0 || int(s) >= len(substrateNames) {
@@ -81,6 +89,24 @@ func SlowConfig() FIGCacheConfig {
 	return cfg
 }
 
+// LISAVillaConfig returns the LISA-VILLA baseline of Section 3 as a cache
+// over geo: whole rows (one segment per row) are cached in the fast
+// subarrays interleaved among the slow ones (Table 1: 16 x 32 = 512 rows
+// per bank) and relocated by LISA row-buffer movement. Relocating an
+// 8 kB row on every miss would swamp the bank, so VILLA caches only rows
+// that miss twice, with the counts halved every 4096 misses; victims are
+// chosen by LRU.
+func LISAVillaConfig(geo dram.Geometry) FIGCacheConfig {
+	cfg := DefaultFIGCacheConfig()
+	cfg.SegmentBlocks = geo.BlocksPerRow()
+	cfg.CacheRowsPerBank = geo.CacheRowsPerBank()
+	cfg.Replacement = ReplLRU
+	cfg.InsertThreshold = 2
+	cfg.DecayMisses = 4096
+	cfg.Substrate = SubstrateLISA
+	return cfg
+}
+
 // Validate reports configuration errors.
 func (c FIGCacheConfig) Validate(geo dram.Geometry) error {
 	switch {
@@ -88,16 +114,23 @@ func (c FIGCacheConfig) Validate(geo dram.Geometry) error {
 		return fmt.Errorf("core: segment blocks %d out of range (1..%d)", c.SegmentBlocks, geo.BlocksPerRow())
 	case geo.BlocksPerRow()%c.SegmentBlocks != 0:
 		return fmt.Errorf("core: segment blocks %d must divide blocks per row %d", c.SegmentBlocks, geo.BlocksPerRow())
+	case geo.BlocksPerRow()/c.SegmentBlocks > maxSegsPerRow:
+		return fmt.Errorf("core: segment blocks %d give %d segments per row, at most %d supported",
+			c.SegmentBlocks, geo.BlocksPerRow()/c.SegmentBlocks, maxSegsPerRow)
 	case c.CacheRowsPerBank <= 0:
 		return fmt.Errorf("core: cache rows per bank must be positive, got %d", c.CacheRowsPerBank)
 	case c.InsertThreshold <= 0:
 		return fmt.Errorf("core: insert threshold must be positive, got %d", c.InsertThreshold)
+	case c.DecayMisses < 0:
+		return fmt.Errorf("core: decay misses must be non-negative, got %d", c.DecayMisses)
 	case c.Replacement < 0 || c.Replacement >= numReplacementKinds:
 		return fmt.Errorf("core: unknown replacement kind %d", int(c.Replacement))
 	case c.BenefitBits <= 0 || c.BenefitBits > 8:
 		return fmt.Errorf("core: benefit bits must be in [1,8], got %d", c.BenefitBits)
 	case c.Substrate < 0 || c.Substrate >= numSubstrates:
 		return fmt.Errorf("core: unknown relocation substrate %d", int(c.Substrate))
+	case c.Substrate == SubstrateLISA && geo.FastSubarrays <= 0:
+		return fmt.Errorf("core: LISA relocation needs fast subarrays to move rows to")
 	}
 	return nil
 }
@@ -130,6 +163,9 @@ type bankCache struct {
 	// missCounts tracks per-segment consecutive misses for threshold
 	// insertion policies (threshold > 1). Cleared on insertion.
 	missCounts map[segKey]int
+	// decayEpoch counts the misses since missCounts was last halved
+	// (DecayMisses > 0 only).
+	decayEpoch int
 	// inflight marks segments whose insertion the controller has planned
 	// but not yet executed (the relocation runs when the source row
 	// closes). Requests in this window keep hitting the open source row,
@@ -150,15 +186,6 @@ func NewFIGCache(cfg FIGCacheConfig, geo dram.Geometry) (*FIGCache, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Maintain per-row benefit sums incrementally, as the paper's
-		// Dirty-Block-Index footnote suggests hardware would.
-		ri, err := NewRowIndex(cfg.CacheRowsPerBank, segsPerRow)
-		if err != nil {
-			return nil, err
-		}
-		if err := fts.SetRowIndex(ri); err != nil {
-			return nil, err
-		}
 		c.banks = append(c.banks, &bankCache{
 			fts:        fts,
 			repl:       newReplacer(cfg.Replacement, cfg.Seed+uint64(i)),
@@ -177,6 +204,30 @@ func (c *FIGCache) FTSForBank(id int) *FTS { return c.banks[id].fts }
 
 // segOf returns the segment index of a block within its row.
 func (c *FIGCache) segOf(block int) int { return block / c.cfg.SegmentBlocks }
+
+// hops returns the LISA relocation hop count for a source row: the number
+// of inter-subarray steps between the row's subarray and the nearest
+// interleaved fast subarray. With F fast subarrays interleaved among S
+// slow ones, each fast subarray serves a run of S/F slow subarrays placed
+// around its position; a row in the middle of a run is 1 hop away, at the
+// edges up to (S/F)/2+1 hops. This is the distance-dependence FIGARO
+// eliminates (Section 3).
+func (c *FIGCache) hops(srcRow int) int {
+	sub := c.geo.SubarrayOfRow(srcRow)
+	run := c.geo.SubarraysPerBank / c.geo.FastSubarrays // slow subarrays per fast subarray
+	if run < 1 {
+		run = 1
+	}
+	pos := sub % run
+	// The fast subarray sits at the center of its run; hop count is the
+	// distance to the center, minimum 1.
+	center := run / 2
+	d := pos - center
+	if d < 0 {
+		d = -d
+	}
+	return d + 1
+}
 
 // cacheLoc converts an FTS slot plus block offset into the DRAM location
 // of the block inside the in-DRAM cache row space.
@@ -204,8 +255,9 @@ func (c *FIGCache) Lookup(loc dram.Location, isWrite bool) (dram.Location, bool)
 
 // ShouldInsert implements the insertion policy of Section 5.1/9.4:
 // insert-any-miss when InsertThreshold is 1, otherwise insert after the
-// segment accumulates InsertThreshold consecutive misses. Segments from
-// the reserved subarray (FIGCache-Slow) are never inserted.
+// segment accumulates InsertThreshold consecutive misses (halved every
+// DecayMisses misses when set). Segments from the reserved subarray
+// (FIGCache-Slow) are never inserted.
 func (c *FIGCache) ShouldInsert(loc dram.Location) bool {
 	if c.cfg.ReservedSubarray >= 0 && c.geo.SubarrayOfRow(loc.Row) == c.cfg.ReservedSubarray {
 		return false
@@ -214,6 +266,20 @@ func (c *FIGCache) ShouldInsert(loc dram.Location) bool {
 		return true
 	}
 	bank := c.banks[loc.BankID(c.geo)]
+	if c.cfg.DecayMisses > 0 {
+		bank.decayEpoch++
+		if bank.decayEpoch >= c.cfg.DecayMisses {
+			bank.decayEpoch = 0
+			//fglint:deterministic per-entry halve-or-delete decay; entries are independent, order cannot matter
+			for k, v := range bank.missCounts {
+				if v <= 1 {
+					delete(bank.missCounts, k)
+				} else {
+					bank.missCounts[k] = v / 2
+				}
+			}
+		}
+	}
 	key := makeSegKey(loc.Row, c.segOf(loc.Block))
 	bank.missCounts[key]++
 	if bank.missCounts[key] >= c.cfg.InsertThreshold {
@@ -239,48 +305,58 @@ func (c *FIGCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *memct
 		return nil // already cached or already being inserted
 	}
 
-	var cost int64
-	blocks := c.cfg.SegmentBlocks
-	psm := c.cfg.Substrate == SubstrateRowClonePSM
+	c.plan = memctrl.RelocPlan{Loc: loc, CommitBank: loc.BankID(c.geo), CommitRow: loc.Row, CommitSeg: seg}
 	slot, free := bank.fts.FreeSlot()
 	if !free {
 		slot = bank.repl.victim(bank.fts)
 		if slot < 0 {
 			return nil // everything evictable is reserved by in-flight work
 		}
-		_, _, dirty, valid := bank.fts.Evict(slot)
+		row, _, dirty, valid := bank.fts.Evict(slot)
 		if valid {
 			c.Evictions++
 			if dirty {
-				// Write the victim segment back: ACT(cache row) + n RELOC +
-				// ACT(source row) + PRE.
-				if psm {
-					cost += ch.PSMCost(blocks, false)
-				} else {
-					cost += ch.RelocStandaloneCost(blocks, true, false)
-				}
-				blocks += c.cfg.SegmentBlocks
+				c.addReloc(ch, row, false)
 				c.WriteBacks++
 			}
 		}
 	}
-	// Insertion relocation with the source row already open: n RELOC +
-	// ACT(cache row) + PRE via FIGARO, or the channel-blocking two-hop
-	// copy via RowClone-PSM.
-	if psm {
-		cost += ch.PSMCost(c.cfg.SegmentBlocks, true)
-	} else {
-		cost += ch.RelocCost(c.cfg.SegmentBlocks, true)
-	}
+	c.addReloc(ch, loc.Row, true)
 	bank.inflight[key] = true
 	bank.fts.Reserve(slot)
 	c.Insertions++
-	c.plan = memctrl.RelocPlan{
-		Loc: loc, Cost: cost, Blocks: blocks, ChannelWide: psm,
-		CommitBank: loc.BankID(c.geo), CommitSlot: slot,
-		CommitRow: loc.Row, CommitSeg: seg,
-	}
+	c.plan.CommitSlot = slot
 	return &c.plan
+}
+
+// addReloc adds one segment relocation between srcRow and the cache to
+// the plan under construction: the insertion itself when srcOpen (the
+// miss left the source row open), otherwise a dirty victim's standalone
+// write-back.
+func (c *FIGCache) addReloc(ch *dram.Channel, srcRow int, srcOpen bool) {
+	p, n := &c.plan, c.cfg.SegmentBlocks
+	switch c.cfg.Substrate {
+	case SubstrateFIGARO:
+		// Insertion: n RELOC + ACT(cache row) + PRE. Write-back:
+		// ACT(cache row) + n RELOC + ACT(source row) + PRE.
+		if srcOpen {
+			p.Cost += ch.RelocCost(n, true)
+		} else {
+			p.Cost += ch.RelocStandaloneCost(n, true, false)
+		}
+		p.Blocks += n
+	case SubstrateRowClonePSM:
+		// The two-hop copy over the global data bus blocks the channel.
+		p.Cost += ch.PSMCost(n, srcOpen)
+		p.Blocks += n
+		p.ChannelWide = true
+	case SubstrateLISA:
+		// Whole-row RBM, paid over the source row's own hop distance.
+		h := c.hops(srcRow)
+		p.Cost += ch.RBMCost(h, srcOpen)
+		p.Hops += h
+		p.IsLISA = true
+	}
 }
 
 // Commit implements memctrl.CacheHook: install the tag for a plan Insert

@@ -54,6 +54,9 @@ func TestFIGCacheConfigValidate(t *testing.T) {
 		func(c *FIGCacheConfig) { c.SegmentBlocks = 0 },
 		func(c *FIGCacheConfig) { c.SegmentBlocks = 3 }, // does not divide 128
 		func(c *FIGCacheConfig) { c.SegmentBlocks = 256 },
+		func(c *FIGCacheConfig) { c.SegmentBlocks = 1 }, // 128 segments per row
+		func(c *FIGCacheConfig) { c.DecayMisses = -1 },
+		func(c *FIGCacheConfig) { c.Substrate = SubstrateLISA }, // no fast subarrays
 		func(c *FIGCacheConfig) { c.CacheRowsPerBank = 0 },
 		func(c *FIGCacheConfig) { c.InsertThreshold = 0 },
 		func(c *FIGCacheConfig) { c.BenefitBits = 9 },
@@ -497,7 +500,8 @@ func TestSubstrateValidation(t *testing.T) {
 	if err := cfg.Validate(dram.Default()); err == nil {
 		t.Error("accepted unknown substrate")
 	}
-	if SubstrateFIGARO.String() != "FIGARO" || SubstrateRowClonePSM.String() != "RowClone-PSM" {
+	if SubstrateFIGARO.String() != "FIGARO" || SubstrateRowClonePSM.String() != "RowClone-PSM" ||
+		SubstrateLISA.String() != "LISA" {
 		t.Error("substrate names wrong")
 	}
 }

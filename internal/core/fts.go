@@ -43,20 +43,29 @@ type FTS struct {
 	reserved  []bool
 	nReserved int
 
-	// rowIndex, when attached via SetRowIndex, maintains per-row benefit
-	// sums and dirty bitvectors incrementally (the Dirty-Block-Index
-	// optimization of Section 5.1 footnote 2).
-	rowIndex *RowIndex
+	// rowSums holds each cache row's cumulative benefit, kept exact under
+	// every mutation (hit, install, evict). This is the Dirty-Block-Index
+	// style structure of Section 5.1 footnote 2: the RowBenefit policy
+	// finds its victim row by scanning cache rows (64 per bank) instead
+	// of slots (512 per bank).
+	rowSums []int
 
 	// Stats.
 	Hits, Misses int64
 }
+
+// maxSegsPerRow bounds the segments per cache row: the RowBenefit
+// policy marks a draining row's segments in a 64-bit vector.
+const maxSegsPerRow = 64
 
 // NewFTS builds a tag store with slots entries, segsPerRow slots per cache
 // row, and a benefit counter of benefitBits bits.
 func NewFTS(slots, segsPerRow, benefitBits int) (*FTS, error) {
 	if slots <= 0 || segsPerRow <= 0 || slots%segsPerRow != 0 {
 		return nil, fmt.Errorf("core: slots (%d) must be a positive multiple of segsPerRow (%d)", slots, segsPerRow)
+	}
+	if segsPerRow > maxSegsPerRow {
+		return nil, fmt.Errorf("core: at most %d segments per cache row, got %d", maxSegsPerRow, segsPerRow)
 	}
 	if benefitBits <= 0 || benefitBits > 8 {
 		return nil, fmt.Errorf("core: benefitBits must be in [1,8], got %d", benefitBits)
@@ -67,6 +76,7 @@ func NewFTS(slots, segsPerRow, benefitBits int) (*FTS, error) {
 		segsPerRow: segsPerRow,
 		benefitMax: uint8(1<<benefitBits - 1),
 		reserved:   make([]bool, slots),
+		rowSums:    make([]int, slots/segsPerRow),
 	}, nil
 }
 
@@ -90,18 +100,14 @@ func (f *FTS) Lookup(row, seg int, isWrite bool) (slot int, hit bool) {
 		return 0, false
 	}
 	e := &f.entries[i]
-	delta := 0
 	if e.benefit < f.benefitMax {
 		e.benefit++
-		delta = 1
+		f.rowSums[f.RowOfSlot(i)]++
 	}
 	if isWrite {
 		e.dirty = true
 	}
 	e.lastUse = f.clock
-	if f.rowIndex != nil {
-		f.rowIndex.OnHit(i, delta, isWrite)
-	}
 	f.Hits++
 	return i, true
 }
@@ -152,16 +158,7 @@ func (f *FTS) Install(slot, row, seg int, dirty bool) {
 	e := &f.entries[slot]
 	if e.valid {
 		delete(f.index, e.key)
-	}
-	if f.rowIndex != nil {
-		old, oldDirty := 0, false
-		if e.valid {
-			old, oldDirty = int(e.benefit), e.dirty
-		}
-		f.rowIndex.OnInstall(slot, old, oldDirty)
-		if dirty {
-			f.rowIndex.OnHit(slot, 0, true)
-		}
+		f.rowSums[f.RowOfSlot(slot)] -= int(e.benefit)
 	}
 	key := makeSegKey(row, seg)
 	*e = ftsEntry{key: key, valid: true, dirty: dirty, benefit: 0, lastUse: f.clock}
@@ -177,9 +174,7 @@ func (f *FTS) Evict(slot int) (row, seg int, dirty, wasValid bool) {
 	}
 	delete(f.index, e.key)
 	row, seg, dirty = e.key.row(), e.key.seg(), e.dirty
-	if f.rowIndex != nil {
-		f.rowIndex.OnEvict(slot, int(e.benefit), e.dirty)
-	}
+	f.rowSums[f.RowOfSlot(slot)] -= int(e.benefit)
 	*e = ftsEntry{}
 	return row, seg, dirty, true
 }
@@ -190,10 +185,22 @@ func (f *FTS) RowOfSlot(slot int) int { return slot / f.segsPerRow }
 // SlotOffset returns the segment position of a slot within its cache row.
 func (f *FTS) SlotOffset(slot int) int { return slot % f.segsPerRow }
 
-// RowBenefit returns the cumulative benefit of all valid segments in a
-// cache row — the quantity the RowBenefit replacement policy minimizes
-// (Section 5.1; the paper notes a Dirty-Block-Index-style structure can
-// maintain these sums in hardware).
+// minBenefitRow returns the cache row with the smallest cumulative
+// benefit among rows where eligible returns true (the lowest index on a
+// tie), or -1 if none qualifies.
+func (f *FTS) minBenefitRow(eligible func(row int) bool) int {
+	best, bestSum := -1, int(^uint(0)>>1)
+	for row, sum := range f.rowSums {
+		if sum < bestSum && eligible(row) {
+			best, bestSum = row, sum
+		}
+	}
+	return best
+}
+
+// RowBenefit recomputes the cumulative benefit of all valid segments in
+// a cache row by scanning its slots: the naive reference for the
+// incrementally kept sums minBenefitRow reads.
 func (f *FTS) RowBenefit(cacheRow int) int {
 	sum := 0
 	for i := cacheRow * f.segsPerRow; i < (cacheRow+1)*f.segsPerRow; i++ {

@@ -9,7 +9,7 @@ import (
 // sortedKeys returns a map's keys in ascending order, so snapshot
 // output is byte-identical across runs regardless of map iteration
 // order.
-func sortedKeys[K ~int | ~uint64, V any](m map[K]V) []K {
+func sortedKeys[K ~uint64, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	//fglint:deterministic keys are sorted before use
 	for k := range m {
@@ -21,7 +21,7 @@ func sortedKeys[K ~int | ~uint64, V any](m map[K]V) []K {
 
 // Snapshot appends the tag store's mutable state: every entry, the
 // logical clock, in-flight reservations, and hit/miss counters. The
-// index and row aggregates are derived and rebuilt on restore.
+// index and row benefit sums are derived and rebuilt on restore.
 func (f *FTS) Snapshot(w *fgss.Writer) {
 	w.Int(len(f.entries))
 	for i := range f.entries {
@@ -44,14 +44,15 @@ func (f *FTS) Snapshot(w *fgss.Writer) {
 }
 
 // Restore reads back what Snapshot wrote and rebuilds the tag index
-// and, when attached, the incremental row aggregates. The receiver
-// must have the snapshotted slot count (a mismatch stops decoding).
+// and the row benefit sums. The receiver must have the snapshotted slot
+// count (a mismatch stops decoding).
 func (f *FTS) Restore(r *fgss.Reader) {
 	n := r.Int()
 	if n != len(f.entries) {
 		return
 	}
 	clear(f.index)
+	clear(f.rowSums)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		e := &f.entries[i]
 		e.key = segKey(r.U64())
@@ -61,6 +62,7 @@ func (f *FTS) Restore(r *fgss.Reader) {
 		e.lastUse = r.I64()
 		if e.valid {
 			f.index[e.key] = i
+			f.rowSums[f.RowOfSlot(i)] += int(e.benefit)
 		}
 	}
 	f.clock = r.I64()
@@ -72,12 +74,6 @@ func (f *FTS) Restore(r *fgss.Reader) {
 	}
 	f.Hits = r.I64()
 	f.Misses = r.I64()
-	if f.rowIndex != nil {
-		// SetRowIndex re-derives the per-row benefit sums and dirty
-		// bitvectors from the restored entries; the dimensions cannot
-		// mismatch because the index was attached to this same FTS.
-		_ = f.SetRowIndex(f.rowIndex)
-	}
 }
 
 // snapshot appends the replacement policy's mutable state: the
@@ -97,9 +93,9 @@ func (r *replacer) restore(rd *fgss.Reader) {
 }
 
 // Snapshot appends the cache's full mutable state, bank by bank: tag
-// store, replacement state, threshold miss counters, in-flight
-// insertion markers, then the aggregate counters. Maps are emitted in
-// sorted-key order for deterministic output.
+// store, replacement state, threshold miss counters and their decay
+// epoch, in-flight insertion markers, then the aggregate counters. Maps
+// are emitted in sorted-key order for deterministic output.
 func (c *FIGCache) Snapshot(w *fgss.Writer) {
 	w.Int(len(c.banks))
 	for _, b := range c.banks {
@@ -110,6 +106,7 @@ func (c *FIGCache) Snapshot(w *fgss.Writer) {
 			w.U64(uint64(k))
 			w.Int(b.missCounts[k])
 		}
+		w.Int(b.decayEpoch)
 		w.Int(len(b.inflight))
 		for _, k := range sortedKeys(b.inflight) {
 			w.U64(uint64(k))
@@ -136,6 +133,7 @@ func (c *FIGCache) Restore(r *fgss.Reader) {
 			k := segKey(r.U64())
 			b.missCounts[k] = r.Int()
 		}
+		b.decayEpoch = r.Int()
 		clear(b.inflight)
 		n = r.Int()
 		for i := 0; i < n && r.Err() == nil; i++ {
@@ -146,82 +144,4 @@ func (c *FIGCache) Restore(r *fgss.Reader) {
 	c.Evictions = r.I64()
 	c.WriteBacks = r.I64()
 	c.ThrottledBy = r.I64()
-}
-
-// Snapshot appends the baseline cache's mutable state, bank by bank:
-// cache-row entries, in-flight markers, hot-row counters, and the
-// epoch/clock/hit state, then the aggregate counters.
-func (l *LISAVilla) Snapshot(w *fgss.Writer) {
-	w.Int(len(l.banks))
-	for _, b := range l.banks {
-		w.Int(len(b.rows))
-		for i := range b.rows {
-			row := &b.rows[i]
-			w.Int(row.srcRow)
-			w.Bool(row.valid)
-			w.Bool(row.dirty)
-			w.I64(row.lastUse)
-		}
-		w.Int(len(b.inflight))
-		for _, k := range sortedKeys(b.inflight) {
-			w.Int(k)
-		}
-		w.Int(len(b.hot))
-		for _, k := range sortedKeys(b.hot) {
-			w.Int(k)
-			w.Int(b.hot[k])
-		}
-		w.Int(b.missesEpoch)
-		w.I64(b.clock)
-		w.I64(b.hits)
-		w.I64(b.misses)
-	}
-	w.I64(l.Insertions)
-	w.I64(l.Evictions)
-	w.I64(l.WriteBacks)
-	w.I64(l.TotalHops)
-}
-
-// Restore reads back what Snapshot wrote and rebuilds each bank's
-// source-row index from the valid cache rows. The receiver must be
-// built from the same configuration.
-func (l *LISAVilla) Restore(r *fgss.Reader) {
-	if r.Int() != len(l.banks) {
-		return
-	}
-	for _, b := range l.banks {
-		if r.Int() != len(b.rows) {
-			return
-		}
-		clear(b.index)
-		for i := 0; i < len(b.rows) && r.Err() == nil; i++ {
-			row := &b.rows[i]
-			row.srcRow = r.Int()
-			row.valid = r.Bool()
-			row.dirty = r.Bool()
-			row.lastUse = r.I64()
-			if row.valid {
-				b.index[row.srcRow] = i
-			}
-		}
-		clear(b.inflight)
-		n := r.Int()
-		for i := 0; i < n && r.Err() == nil; i++ {
-			b.inflight[r.Int()] = true
-		}
-		clear(b.hot)
-		n = r.Int()
-		for i := 0; i < n && r.Err() == nil; i++ {
-			k := r.Int()
-			b.hot[k] = r.Int()
-		}
-		b.missesEpoch = r.Int()
-		b.clock = r.I64()
-		b.hits = r.I64()
-		b.misses = r.I64()
-	}
-	l.Insertions = r.I64()
-	l.Evictions = r.I64()
-	l.WriteBacks = r.I64()
-	l.TotalHops = r.I64()
 }

@@ -38,8 +38,12 @@ import (
 // Magic identifies a FIGARO snapshot stream.
 const Magic = "FGSS"
 
-// FormatVersion is the current container format version.
-const FormatVersion = 1
+// FormatVersion is the current container format version. Bump it
+// whenever a layer's section payload changes layout, so an older
+// snapshot is refused at the header instead of being misread. Version 2:
+// LISA-VILLA state travels as a FIGCache hook, and every FIGCache bank
+// carries its miss-count decay epoch.
+const FormatVersion = 2
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44

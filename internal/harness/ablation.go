@@ -9,7 +9,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Ablations evaluates the design choices DESIGN.md calls out, beyond the
+// Ablations evaluates the simulator's own design choices, beyond the
 // paper's own sensitivity studies:
 //
 //   - deferred versus immediate relocation execution: the controller

@@ -8,8 +8,9 @@ import (
 	"repro/internal/stats"
 )
 
-// CacheHook is the interface through which an in-DRAM cache (FIGCache or
-// LISA-VILLA, in internal/core) plugs into the memory controller. The
+// CacheHook is the interface through which an in-DRAM cache (a
+// core.FIGCache, in any of its configurations, LISA-VILLA included)
+// plugs into the memory controller. The
 // controller consults the hook on every request, and notifies it when a
 // miss finishes its column access with the source row still open — the
 // moment FIGCache exploits to relocate the row segment into the cache

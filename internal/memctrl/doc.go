@@ -2,8 +2,8 @@
 // write request queues, FR-FCFS command scheduling, the DDR4 address
 // interleaving from Table 1 of the FIGARO paper, write draining and
 // refresh management, plus the hook through which an in-DRAM cache
-// (FIGCache or LISA-VILLA, in internal/core) redirects requests and
-// triggers in-DRAM relocations.
+// (core.FIGCache, whose configurations include LISA-VILLA) redirects
+// requests and triggers in-DRAM relocations.
 //
 // The controller is the layer between the cache hierarchy and the DRAM
 // device model: LLC misses and write-backs enter through Enqueue, and

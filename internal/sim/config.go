@@ -78,9 +78,8 @@ type Config struct {
 
 	// FIG overrides the FIGCache parameters for the FIGCache presets
 	// (sensitivity studies of Section 9). Nil selects the paper default.
+	// LISA-VILLA always runs core.LISAVillaConfig.
 	FIG *core.FIGCacheConfig
-	// LISA overrides the LISA-VILLA parameters. Nil selects the default.
-	LISA *core.LISAVillaConfig
 	// FastSubarrays overrides the number of fast subarrays per bank for
 	// FIGCacheFast (Figure 12's capacity sweep). Zero selects the default
 	// of 2.
@@ -159,11 +158,7 @@ func (c *Config) buildHook(geo dram.Geometry) (memctrl.CacheHook, error) {
 	case Base, LLDRAM:
 		return nil, nil
 	case LISAVilla:
-		lcfg := core.DefaultLISAVillaConfig()
-		if c.LISA != nil {
-			lcfg = *c.LISA
-		}
-		return core.NewLISAVilla(lcfg, geo)
+		return core.NewFIGCache(core.LISAVillaConfig(geo), geo)
 	case FIGCacheSlow:
 		fcfg := core.SlowConfig()
 		if c.FIG != nil {
@@ -211,7 +206,7 @@ func (h *idealHook) Insert(ch *dram.Channel, loc dram.Location, now int64) *memc
 func (h *idealHook) Commit(p *memctrl.RelocPlan) { h.inner.Commit(p) }
 
 // FIGCacheOf extracts the FIGCache from a hook, unwrapping the ideal
-// wrapper; nil if the hook is not FIGCache-based.
+// wrapper; nil for presets without an in-DRAM cache.
 func FIGCacheOf(h memctrl.CacheHook) *core.FIGCache {
 	switch v := h.(type) {
 	case *core.FIGCache:

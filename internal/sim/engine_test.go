@@ -53,6 +53,27 @@ func sjengMemMix(t *testing.T) workload.Mix {
 	return workload.Mix{Name: "sjeng-mem", Apps: apps, IntensivePercent: 75}
 }
 
+// fullQueueConfig returns a Base run of sixteen copies of a read-only,
+// mostly random lbm on a single channel.
+func fullQueueConfig(t *testing.T) Config {
+	t.Helper()
+	spec, err := workload.ByName("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.WriteFrac = 0
+	spec.Bubbles = 0
+	spec.HotFraction = 0.1
+	spec.FootprintBytes = 128 << 20
+	apps := make([]workload.Source, 16)
+	for i := range apps {
+		apps[i] = workload.SynthSource(spec)
+	}
+	cfg := DefaultConfig(Base, workload.Mix{Name: "full-queue", Apps: apps, IntensivePercent: 100})
+	cfg.Channels = 1
+	return cfg
+}
+
 // TestEngineEquivalence is the golden determinism test for the
 // cycle-skipping engine: every configuration must produce a sim.Result
 // bit-identical to the dense cycle-by-cycle reference loop.
@@ -118,6 +139,12 @@ func TestEngineEquivalence(t *testing.T) {
 		tc{name: "FIGCache-Fast/8core", cfg: DefaultConfig(FIGCacheFast, workload.EightCoreMixes()[0]), insts: 12_000},
 		tc{name: "Base/4core-sjeng", cfg: DefaultConfig(Base, sjengMemMix(t)), insts: 20_000},
 	)
+
+	// Sixteen read-only cores on one channel keep more misses in flight
+	// than the 64-entry read queue holds, so the memory-only loop runs
+	// with requests buffered behind a full queue and must retry them one
+	// bus boundary at a time.
+	cases = append(cases, tc{name: "Base/full-queue", cfg: fullQueueConfig(t), insts: 1_000})
 
 	if !testing.Short() {
 		eight := DefaultConfig(Base, workload.EightCoreMixes()[0])

@@ -28,7 +28,7 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // Fingerprint returns the run's canonical identity: a stable hash over
 // the normalized configuration (defaults filled in, so a zero Channels
 // field hashes identically to its explicit default), every workload
-// parameter of the mix, the FIG/LISA overrides, and EngineVersion.
+// parameter of the mix, the FIG override, and EngineVersion.
 //
 // DenseLoop is deliberately excluded: the dense and cycle-skipping
 // engines produce bit-identical results (TestEngineEquivalence), so a
@@ -60,18 +60,21 @@ func (c Config) Fingerprint() Fingerprint {
 		a.WriteCanonical(h)
 	}
 	if f := norm.FIG; f != nil {
-		fmt.Fprintf(h, "fig=%d,%d,%d,%d,%d,%d,%d,%d\n",
+		fmt.Fprintf(h, "fig=%d,%d,%d,%d,%d,%d,%d,%d",
 			f.SegmentBlocks, f.CacheRowsPerBank, int(f.Replacement), f.InsertThreshold,
 			f.BenefitBits, f.ReservedSubarray, int(f.Substrate), f.Seed)
+		// Appended only when set, so keys cached before the field
+		// existed still address their results.
+		if f.DecayMisses != 0 {
+			fmt.Fprintf(h, ",%d", f.DecayMisses)
+		}
+		io.WriteString(h, "\n")
 	} else {
 		io.WriteString(h, "fig=default\n")
 	}
-	if l := norm.LISA; l != nil {
-		fmt.Fprintf(h, "lisa=%d,%d,%d,%d,%d\n",
-			l.CacheRowsPerBank, l.FastSubarrays, l.HotThreshold, l.EpochMisses, l.Seed)
-	} else {
-		io.WriteString(h, "lisa=default\n")
-	}
+	// LISA-VILLA has no override; the constant line keeps the keys of
+	// results cached when it had one addressable.
+	io.WriteString(h, "lisa=default\n")
 
 	var fp Fingerprint
 	h.Sum(fp[:0])

@@ -3,7 +3,6 @@ package sim
 import (
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/ev"
 	"repro/internal/fgss"
 	"repro/internal/memctrl"
@@ -19,7 +18,7 @@ const (
 	snapSecCaches   = 5 // SRAM hierarchy, node-ID order
 	snapSecChannels = 6 // DRAM channels: banks, timing windows
 	snapSecCtrls    = 7 // memory controllers: queues, relocations
-	snapSecHooks    = 8 // in-DRAM cache hooks (FIGCache / LISA-VILLA)
+	snapSecHooks    = 8 // in-DRAM cache hooks (FIGCache configurations)
 	snapSecAdapter  = 9 // requests buffered between hierarchy and controllers
 )
 
@@ -27,7 +26,6 @@ const (
 const (
 	hookNone     = 0
 	hookFIGCache = 1
-	hookLISA     = 2
 )
 
 // snapshotter is the optional checkpoint interface of a workload trace
@@ -169,9 +167,6 @@ func (s *System) Snapshot(out io.Writer) error {
 		if fc := FIGCacheOf(h); fc != nil {
 			w.Int(hookFIGCache)
 			fc.Snapshot(w)
-		} else if lv, ok := h.(*core.LISAVilla); ok {
-			w.Int(hookLISA)
-			lv.Snapshot(w)
 		} else {
 			w.Int(hookNone)
 		}
@@ -267,13 +262,8 @@ func (s *System) Restore(in io.Reader) error {
 	if r.Int() == len(s.hooks) {
 		for _, h := range s.hooks {
 			kind := r.Int()
-			switch {
-			case kind == hookFIGCache && FIGCacheOf(h) != nil:
-				FIGCacheOf(h).Restore(r)
-			case kind == hookLISA:
-				if lv, ok := h.(*core.LISAVilla); ok {
-					lv.Restore(r)
-				}
+			if fc := FIGCacheOf(h); kind == hookFIGCache && fc != nil {
+				fc.Restore(r)
 			}
 		}
 	}

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"compress/gzip"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -44,6 +47,35 @@ func TestRestoreRefusesMismatchedConfig(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "restore refused") {
 		t.Errorf("fingerprint mismatch error = %q, want it to mention refusal", err)
+	}
+}
+
+// TestRestoreRefusesOldFormat restores a LISA-VILLA snapshot written in
+// FGSS format 1, when LISA-VILLA had its own hook payload. The config
+// and engine version still match, so only the format version keeps the
+// old hook section from being misread; restore must fail with an error.
+func TestRestoreRefusesOldFormat(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "lisa-format1.fgss.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(LISAVilla, smallMix(t, "mcf"))
+	cfg.TargetInsts = 3_000
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sys.Restore(zr)
+	if err == nil {
+		t.Fatal("restored a format-1 snapshot, want a format version refusal")
+	}
+	if !strings.Contains(err.Error(), "format version 1") {
+		t.Errorf("old-format error = %q, want it to name format version 1", err)
 	}
 }
 

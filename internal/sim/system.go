@@ -701,13 +701,13 @@ func (s *System) runSkippingUntil(maxCycles, stopRetired int64) {
 			// ID order. Completions scheduled along the way can only pull
 			// eventNext earlier, never invalidate work already done: each
 			// lies beyond the bus cycle whose tick scheduled it.
-			bus := s.nextBusWork(cpb)
+			bus := s.nextBusWork(cpb, t)
 			for bus < next && bus < eventNext {
 				s.busTick(bus / cpb)
 				if at, ok := s.events.nextAt(); ok && at < eventNext {
 					eventNext = at
 				}
-				bus = s.nextBusWork(cpb)
+				bus = s.nextBusWork(cpb, bus)
 			}
 			if eventNext < next {
 				next = eventNext
@@ -840,10 +840,13 @@ func (s *System) busTick(busNow int64) {
 }
 
 // nextBusWork returns the next CPU cycle at which the memory system needs
-// a bus tick: the earliest controller next-work probe, or the very next
-// bus boundary while the adapter still buffers requests that must retry
-// entering a full controller queue.
-func (s *System) nextBusWork(cpb int64) int64 {
+// a bus tick: the earliest controller next-work probe, or, while the
+// adapter still buffers requests that must retry entering a full
+// controller queue, the first bus boundary after cycle last. last is the
+// current cycle, or the boundary the memory-only loop just ticked: that
+// loop does not advance the clock, so a retry measured from the clock
+// would tick the same bus cycle again.
+func (s *System) nextBusWork(cpb, last int64) int64 {
 	next := maxInt64
 	for _, w := range s.ctrlWake {
 		if w < next {
@@ -854,7 +857,7 @@ func (s *System) nextBusWork(cpb int64) int64 {
 		next *= cpb
 	}
 	if len(s.adapter.pending) > 0 {
-		if b := (s.clock/cpb + 1) * cpb; b < next {
+		if b := (last/cpb + 1) * cpb; b < next {
 			next = b
 		}
 	}

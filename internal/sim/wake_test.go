@@ -43,7 +43,7 @@ func TestNextBusWork(t *testing.T) {
 	// bus-to-CPU conversion.
 	idle()
 	s.adapter.pending = s.adapter.pending[:0]
-	if got := s.nextBusWork(cpb); got != maxInt64 {
+	if got := s.nextBusWork(cpb, s.clock); got != maxInt64 {
 		t.Errorf("all-idle nextBusWork = %d, want MaxInt64", got)
 	}
 
@@ -51,7 +51,7 @@ func TestNextBusWork(t *testing.T) {
 	// ahead): the probe must surface it, converted to CPU cycles, not
 	// clamp it to the present.
 	s.ctrlWake[2] = 3
-	if got, want := s.nextBusWork(cpb), 3*cpb; got != want {
+	if got, want := s.nextBusWork(cpb, s.clock), 3*cpb; got != want {
 		t.Errorf("past-wake nextBusWork = %d, want %d", got, want)
 	}
 
@@ -79,12 +79,19 @@ func TestNextBusWork(t *testing.T) {
 	idle()
 	s.clock = 7 * cpb
 	s.adapter.pending = append(s.adapter.pending[:0], pendingReq{})
-	if got, want := s.nextBusWork(cpb), (s.clock/cpb+1)*cpb; got != want {
+	if got, want := s.nextBusWork(cpb, s.clock), (s.clock/cpb+1)*cpb; got != want {
 		t.Errorf("pending-bound nextBusWork = %d, want %d", got, want)
+	}
+	// After the memory-only loop ticks that boundary, the retry moves to
+	// the boundary after it: the clock has not moved, and measuring from
+	// it would tick the same bus cycle twice.
+	b := (s.clock/cpb + 1) * cpb
+	if got, want := s.nextBusWork(cpb, b), b+cpb; got != want {
+		t.Errorf("retry after ticking bus %d: nextBusWork = %d, want %d", b/cpb, got, want)
 	}
 	// A due controller earlier than the retry boundary wins.
 	s.ctrlWake[1] = s.clock / cpb
-	if got, want := s.nextBusWork(cpb), s.clock; got != want {
+	if got, want := s.nextBusWork(cpb, s.clock), s.clock; got != want {
 		t.Errorf("due-before-retry nextBusWork = %d, want %d", got, want)
 	}
 	s.adapter.pending = s.adapter.pending[:0]
