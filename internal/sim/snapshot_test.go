@@ -127,3 +127,78 @@ func TestRestoreRewindsDirtySystem(t *testing.T) {
 		t.Errorf("rewound run diverges from uninterrupted run:\n want: %+v\n  got: %+v", want, got)
 	}
 }
+
+// inFlight counts the insertions the system's in-DRAM caches have
+// planned but not yet committed. Every Insert either takes a free slot
+// or evicts a valid segment, and every Commit turns its slot valid, so
+// the plans still pending are the insertions minus the evictions minus
+// the valid slots.
+func inFlight(s *System) int64 {
+	var n int64
+	for i, h := range s.Hooks() {
+		fc := FIGCacheOf(h)
+		if fc == nil {
+			continue
+		}
+		n += fc.Insertions - fc.Evictions
+		for b := 0; b < s.channels[i].NumBanks(); b++ {
+			n -= int64(fc.FTSForBank(b).ValidSlots())
+		}
+	}
+	return n
+}
+
+// TestCheckpointWithInsertionInFlight pauses each FIGCache
+// configuration at the first step where the controller holds a deferred
+// insertion plan and its slot is reserved, snapshots there, and checks
+// that both the paused run and a fresh System restored from the
+// snapshot finish identically to the uninterrupted run.
+func TestCheckpointWithInsertionInFlight(t *testing.T) {
+	for _, p := range []Preset{FIGCacheFast, FIGCacheIdeal, LISAVilla} {
+		t.Run(p.String(), func(t *testing.T) {
+			cfg := DefaultConfig(p, warmMix(t))
+			cfg.TargetInsts = 40_000
+			want := runWith(t, cfg, false)
+
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := int64(500); inFlight(sys) == 0; k += 500 {
+				if k >= cfg.TargetInsts {
+					t.Fatal("no pause point with an insertion in flight")
+				}
+				sys.RunUntilRetired(k)
+			}
+			var buf bytes.Buffer
+			if err := sys.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			cont, err := sys.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cont, want) {
+				t.Errorf("paused run diverges:\n want: %+v\n  got: %+v", want, cont)
+			}
+
+			fresh, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			if inFlight(fresh) == 0 {
+				t.Error("restored system lost its in-flight insertions")
+			}
+			got, err := fresh.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("restored run diverges:\n want: %+v\n  got: %+v", want, got)
+			}
+		})
+	}
+}
