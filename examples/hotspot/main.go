@@ -41,7 +41,7 @@ func main() {
 		}
 		var planNote string
 		if cache.ShouldInsert(loc) {
-			if plan := cache.Insert(channel, loc, 0); plan != nil {
+			if plan, ok := cache.Insert(channel, loc, 0); ok {
 				planNote = fmt.Sprintf("inserted (%d RELOCs, %d-cycle occupancy)", plan.Blocks, plan.Cost)
 				// The memory controller defers relocation work until the
 				// source row closes and only then commits the cache tags;

@@ -15,7 +15,11 @@
 //     insert-any-miss insertion policy and a row-granularity
 //     benefit-based replacement policy (Section 5). The FTS keeps each
 //     cache row's benefit sum incrementally, so that policy scans rows,
-//     not slots.
+//     not slots. Each FTS slot is free, reserved or valid: a segment
+//     whose insertion the controller has planned but not yet executed
+//     holds a reserved slot until FIGCache.Commit installs it.
+//     FIGCache-Ideal is the same cache on SubstrateIdeal, whose RELOCs
+//     cost nothing.
 //
 //   - LISA-VILLA: the state-of-the-art in-DRAM cache baseline the paper
 //     compares against (Section 3) is the same kind of cache with other

@@ -45,19 +45,22 @@ type FIGCacheConfig struct {
 // on: FIGARO (the paper's contribution; bank-local, distance-independent),
 // RowClone-PSM (the Section 10 related-work baseline, which moves data
 // over the shared internal global data bus and blocks the whole channel),
-// or LISA row-buffer movement (LISA-VILLA's whole-row copy, whose latency
-// grows with the hop distance to the nearest fast subarray).
+// LISA row-buffer movement (LISA-VILLA's whole-row copy, whose latency
+// grows with the hop distance to the nearest fast subarray), or an ideal
+// FIGARO whose RELOCs cost nothing (the FIGCache-Ideal upper bound of
+// Section 8).
 type Substrate int
 
 const (
 	SubstrateFIGARO Substrate = iota
 	SubstrateRowClonePSM
 	SubstrateLISA
+	SubstrateIdeal
 
 	numSubstrates
 )
 
-var substrateNames = [numSubstrates]string{"FIGARO", "RowClone-PSM", "LISA"}
+var substrateNames = [numSubstrates]string{"FIGARO", "RowClone-PSM", "LISA", "Ideal"}
 
 func (s Substrate) String() string {
 	if s < 0 || int(s) >= len(substrateNames) {
@@ -143,13 +146,6 @@ type FIGCache struct {
 
 	banks []*bankCache
 
-	// plan is the scratch the next Insert returns a pointer to; per the
-	// CacheHook contract the controller copies it before the call after.
-	// Keeping it here instead of allocating per insertion is what lets a
-	// relocating preset run allocation-free in steady state.
-	//fglint:preserved scratch; fully overwritten by every Insert before the pointer is returned
-	plan memctrl.RelocPlan
-
 	// Stats aggregated across banks.
 	Insertions  int64
 	Evictions   int64
@@ -166,11 +162,6 @@ type bankCache struct {
 	// decayEpoch counts the misses since missCounts was last halved
 	// (DecayMisses > 0 only).
 	decayEpoch int
-	// inflight marks segments whose insertion the controller has planned
-	// but not yet executed (the relocation runs when the source row
-	// closes). Requests in this window keep hitting the open source row,
-	// and duplicate insertions are suppressed.
-	inflight map[segKey]bool
 }
 
 // NewFIGCache builds a FIGCache over the channel geometry.
@@ -190,7 +181,6 @@ func NewFIGCache(cfg FIGCacheConfig, geo dram.Geometry) (*FIGCache, error) {
 			fts:        fts,
 			repl:       newReplacer(cfg.Replacement, cfg.Seed+uint64(i)),
 			missCounts: make(map[segKey]int),
-			inflight:   make(map[segKey]bool),
 		})
 	}
 	return c, nil
@@ -290,51 +280,47 @@ func (c *FIGCache) ShouldInsert(loc dram.Location) bool {
 	return false
 }
 
-// Insert implements memctrl.CacheHook: allocate a slot (evicting per the
+// Insert implements memctrl.CacheHook: reserve a slot (evicting per the
 // replacement policy if full) and return the relocation plan. The source
 // row is open when Insert is called, so the insertion relocation skips
 // the first ACTIVATE (Section 8.1); a dirty victim adds a standalone
-// write-back relocation to the plan cost. The tag is installed by the
-// plan's Commit when the controller executes the relocation, so requests
-// arriving while the source row remains open keep hitting it.
-func (c *FIGCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *memctrl.RelocPlan {
+// write-back relocation to the plan cost. The tag is installed by Commit
+// when the controller executes the relocation, so requests arriving while
+// the source row remains open keep hitting it.
+func (c *FIGCache) Insert(ch *dram.Channel, loc dram.Location, now int64) (memctrl.RelocPlan, bool) {
 	bank := c.banks[loc.BankID(c.geo)]
 	seg := c.segOf(loc.Block)
-	key := makeSegKey(loc.Row, seg)
-	if bank.fts.Contains(loc.Row, seg) || bank.inflight[key] {
-		return nil // already cached or already being inserted
+	if bank.fts.Contains(loc.Row, seg) {
+		return memctrl.RelocPlan{}, false // already cached or already being inserted
 	}
 
-	c.plan = memctrl.RelocPlan{Loc: loc, CommitBank: loc.BankID(c.geo), CommitRow: loc.Row, CommitSeg: seg}
+	plan := memctrl.RelocPlan{Loc: loc}
 	slot, free := bank.fts.FreeSlot()
 	if !free {
 		slot = bank.repl.victim(bank.fts)
 		if slot < 0 {
-			return nil // everything evictable is reserved by in-flight work
+			return memctrl.RelocPlan{}, false // every slot is reserved by in-flight work
 		}
 		row, _, dirty, valid := bank.fts.Evict(slot)
 		if valid {
 			c.Evictions++
 			if dirty {
-				c.addReloc(ch, row, false)
+				c.addReloc(&plan, ch, row, false)
 				c.WriteBacks++
 			}
 		}
 	}
-	c.addReloc(ch, loc.Row, true)
-	bank.inflight[key] = true
-	bank.fts.Reserve(slot)
+	c.addReloc(&plan, ch, loc.Row, true)
+	bank.fts.Reserve(slot, loc.Row, seg)
 	c.Insertions++
-	c.plan.CommitSlot = slot
-	return &c.plan
+	return plan, true
 }
 
 // addReloc adds one segment relocation between srcRow and the cache to
-// the plan under construction: the insertion itself when srcOpen (the
-// miss left the source row open), otherwise a dirty victim's standalone
-// write-back.
-func (c *FIGCache) addReloc(ch *dram.Channel, srcRow int, srcOpen bool) {
-	p, n := &c.plan, c.cfg.SegmentBlocks
+// p: the insertion itself when srcOpen (the miss left the source row
+// open), otherwise a dirty victim's standalone write-back.
+func (c *FIGCache) addReloc(p *memctrl.RelocPlan, ch *dram.Channel, srcRow int, srcOpen bool) {
+	n := c.cfg.SegmentBlocks
 	switch c.cfg.Substrate {
 	case SubstrateFIGARO:
 		// Insertion: n RELOC + ACT(cache row) + PRE. Write-back:
@@ -356,17 +342,17 @@ func (c *FIGCache) addReloc(ch *dram.Channel, srcRow int, srcOpen bool) {
 		p.Cost += ch.RBMCost(h, srcOpen)
 		p.Hops += h
 		p.IsLISA = true
+	case SubstrateIdeal:
+		// FIGARO's RELOCs, counted but free.
+		p.Blocks += n
 	}
 }
 
-// Commit implements memctrl.CacheHook: install the tag for a plan Insert
-// returned, clearing its reservation. Called by the controller when the
-// relocation executes.
-func (c *FIGCache) Commit(p *memctrl.RelocPlan) {
-	bank := c.banks[p.CommitBank]
-	delete(bank.inflight, makeSegKey(p.CommitRow, p.CommitSeg))
-	bank.fts.Unreserve(p.CommitSlot)
-	bank.fts.Install(p.CommitSlot, p.CommitRow, p.CommitSeg, false)
+// Commit implements memctrl.CacheHook: install the tag of the segment a
+// plan Insert returned into the slot it reserved. Called by the
+// controller when the relocation executes.
+func (c *FIGCache) Commit(p memctrl.RelocPlan) {
+	c.banks[p.Loc.BankID(c.geo)].fts.Commit(p.Loc.Row, c.segOf(p.Loc.Block))
 }
 
 // HitRate returns the aggregate in-DRAM cache hit rate.

@@ -37,12 +37,12 @@ func newTestFIGCache(t *testing.T, mutate func(*FIGCacheConfig)) (*FIGCache, *dr
 
 // insertNow performs an insertion and immediately commits it, emulating
 // the controller executing the relocation right away.
-func insertNow(fc *FIGCache, ch *dram.Channel, loc dram.Location) *memctrl.RelocPlan {
-	plan := fc.Insert(ch, loc, 0)
-	if plan != nil {
+func insertNow(fc *FIGCache, ch *dram.Channel, loc dram.Location) (memctrl.RelocPlan, bool) {
+	plan, ok := fc.Insert(ch, loc, 0)
+	if ok {
 		fc.Commit(plan)
 	}
-	return plan
+	return plan, ok
 }
 
 func TestFIGCacheConfigValidate(t *testing.T) {
@@ -137,9 +137,9 @@ func TestFIGCacheLookupMissThenHit(t *testing.T) {
 	if !fc.ShouldInsert(loc) {
 		t.Fatal("insert-any-miss declined an insertion")
 	}
-	plan := insertNow(fc, ch, loc)
-	if plan == nil {
-		t.Fatal("Insert returned nil plan")
+	plan, ok := insertNow(fc, ch, loc)
+	if !ok {
+		t.Fatal("Insert refused the insertion")
 	}
 	if plan.Blocks != 16 {
 		t.Errorf("plan blocks = %d, want 16 (one segment)", plan.Blocks)
@@ -174,10 +174,10 @@ func TestFIGCacheLookupMissThenHit(t *testing.T) {
 func TestFIGCacheDoubleInsertIsNoop(t *testing.T) {
 	fc, ch := newTestFIGCache(t, nil)
 	loc := dram.Location{Row: 5, Block: 0}
-	if insertNow(fc, ch, loc) == nil {
+	if _, ok := insertNow(fc, ch, loc); !ok {
 		t.Fatal("first insert failed")
 	}
-	if insertNow(fc, ch, loc) != nil {
+	if _, ok := insertNow(fc, ch, loc); ok {
 		t.Error("second insert of the same segment returned a plan")
 	}
 	if fc.Insertions != 1 {
@@ -191,7 +191,7 @@ func TestFIGCacheEvictionWhenFull(t *testing.T) {
 	// evict.
 	for i := 0; i < 9; i++ {
 		loc := dram.Location{Row: 100 + i, Block: 0}
-		if insertNow(fc, ch, loc) == nil {
+		if _, ok := insertNow(fc, ch, loc); !ok {
 			t.Fatalf("insert %d returned nil", i)
 		}
 	}
@@ -214,8 +214,8 @@ func TestFIGCacheDirtyEvictionAddsWriteBack(t *testing.T) {
 			t.Fatalf("segment %d should hit", i)
 		}
 	}
-	plan := insertNow(fc, ch, dram.Location{Row: 500, Block: 0})
-	if plan == nil {
+	plan, ok := insertNow(fc, ch, dram.Location{Row: 500, Block: 0})
+	if !ok {
 		t.Fatal("insert with eviction returned nil")
 	}
 	if fc.WriteBacks != 1 {
@@ -480,8 +480,8 @@ func TestRowClonePSMSubstrate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := newTestChannel(t, 2)
-	plan := fc.Insert(ch, dram.Location{Row: 7, Block: 0}, 0)
-	if plan == nil {
+	plan, ok := fc.Insert(ch, dram.Location{Row: 7, Block: 0}, 0)
+	if !ok {
 		t.Fatal("insert failed")
 	}
 	if !plan.ChannelWide {

@@ -14,13 +14,17 @@ func (k segKey) seg() int { return int(k & 0xff) }
 
 // ftsEntry is one entry of the FIGCache tag store: the tag of the cached
 // segment, valid and dirty bits, and the saturating benefit counter used
-// by the replacement policy (Section 5.1).
+// by the replacement policy (Section 5.1). A slot is free, reserved or
+// valid: a reserved slot holds the tag of an in-flight insertion (planned,
+// not yet executed by the controller), so a duplicate insertion finds it,
+// but lookups miss it and replacement never picks it until it commits.
 type ftsEntry struct {
-	key     segKey
-	valid   bool
-	dirty   bool
-	benefit uint8
-	lastUse int64 // logical timestamp for the LRU comparison policy
+	key      segKey
+	valid    bool
+	reserved bool
+	dirty    bool
+	benefit  uint8
+	lastUse  int64 // logical timestamp for the LRU comparison policy
 }
 
 // FTS is the FIGCache tag store for one bank: a fully-associative array
@@ -29,19 +33,10 @@ type ftsEntry struct {
 // rows x 8 segments per row).
 type FTS struct {
 	entries    []ftsEntry
-	index      map[segKey]int // valid tag -> slot
+	index      map[segKey]int // valid or reserved tag -> slot
 	segsPerRow int            // cache slots per cache row
 	benefitMax uint8          // saturation value (5-bit counter -> 31)
 	clock      int64
-
-	// reserved marks slots claimed by an in-flight insertion (planned but
-	// not yet executed by the controller); they are neither allocatable
-	// nor evictable until the insertion commits. A dense bitmap rather
-	// than a map: slots are bounded and small, and map insert/delete
-	// churn allocates during same-size bucket growth, which would break
-	// the allocation-free steady state.
-	reserved  []bool
-	nReserved int
 
 	// rowSums holds each cache row's cumulative benefit, kept exact under
 	// every mutation (hit, install, evict). This is the Dirty-Block-Index
@@ -75,7 +70,6 @@ func NewFTS(slots, segsPerRow, benefitBits int) (*FTS, error) {
 		index:      make(map[segKey]int, slots),
 		segsPerRow: segsPerRow,
 		benefitMax: uint8(1<<benefitBits - 1),
-		reserved:   make([]bool, slots),
 		rowSums:    make([]int, slots/segsPerRow),
 	}, nil
 }
@@ -95,7 +89,7 @@ func (f *FTS) SegsPerRow() int { return f.segsPerRow }
 func (f *FTS) Lookup(row, seg int, isWrite bool) (slot int, hit bool) {
 	f.clock++
 	i, ok := f.index[makeSegKey(row, seg)]
-	if !ok {
+	if !ok || !f.entries[i].valid {
 		f.Misses++
 		return 0, false
 	}
@@ -112,47 +106,46 @@ func (f *FTS) Lookup(row, seg int, isWrite bool) (slot int, hit bool) {
 	return i, true
 }
 
-// Contains reports whether a segment is cached without touching metadata.
+// Contains reports whether the FTS holds a segment's tag, cached or
+// reserved for an in-flight insertion, without touching metadata.
 func (f *FTS) Contains(row, seg int) bool {
 	_, ok := f.index[makeSegKey(row, seg)]
 	return ok
 }
 
-// FreeSlot returns an invalid, unreserved slot index, or (0, false) if
-// the cache is full. Slots are scanned in order, so consecutive
-// insertions pack into the same cache row (the co-location Section 5.1
-// relies on).
+// FreeSlot returns a free (neither valid nor reserved) slot index, or
+// (0, false) if the cache is full. Slots are scanned in order, so
+// consecutive insertions pack into the same cache row (the co-location
+// Section 5.1 relies on).
 func (f *FTS) FreeSlot() (int, bool) {
 	for i, e := range f.entries {
-		if !e.valid && !f.reserved[i] {
+		if !e.valid && !e.reserved {
 			return i, true
 		}
 	}
 	return 0, false
 }
 
-// Reserve claims a slot for an in-flight insertion; Unreserve releases
-// it. Reserved slots are skipped by FreeSlot and by replacement.
-func (f *FTS) Reserve(slot int) {
-	if !f.reserved[slot] {
-		f.reserved[slot] = true
-		f.nReserved++
+// Reserve claims a free slot for the in-flight insertion of a segment:
+// the slot holds its tag, so Contains finds it, but Lookup misses it and
+// replacement never picks it until Commit installs it.
+func (f *FTS) Reserve(slot, row, seg int) {
+	key := makeSegKey(row, seg)
+	f.entries[slot] = ftsEntry{key: key, reserved: true}
+	f.index[key] = slot
+}
+
+// Commit installs a segment, clean, in the slot Reserve claimed for it;
+// a segment with no reserved slot is left alone.
+func (f *FTS) Commit(row, seg int) {
+	if slot, ok := f.index[makeSegKey(row, seg)]; ok && f.entries[slot].reserved {
+		f.Install(slot, row, seg, false)
 	}
 }
 
-// Unreserve releases a slot claimed by Reserve.
-func (f *FTS) Unreserve(slot int) {
-	if f.reserved[slot] {
-		f.reserved[slot] = false
-		f.nReserved--
-	}
-}
-
-// IsReserved reports whether a slot is claimed by an in-flight insertion.
-func (f *FTS) IsReserved(slot int) bool { return f.reserved[slot] }
-
-// Install fills a slot with a new segment, resetting its metadata. Any
-// previous valid entry in the slot must have been evicted first.
+// Install fills a free slot, or the slot reserved for the segment, with
+// the segment, resetting its metadata. A valid entry in the slot is
+// replaced.
 func (f *FTS) Install(slot, row, seg int, dirty bool) {
 	f.clock++
 	e := &f.entries[slot]

@@ -110,8 +110,8 @@ func TestFunctionalEndToEnd(t *testing.T) {
 				if blk != 0 || !fc.ShouldInsert(loc) {
 					continue
 				}
-				plan := fc.Insert(ch, loc, 0)
-				if plan == nil {
+				plan, ok := fc.Insert(ch, loc, 0)
+				if !ok {
 					continue
 				}
 				// Execute the relocation functionally: the FTS slot

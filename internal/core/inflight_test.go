@@ -13,11 +13,11 @@ import (
 // controller does when the source row stays open.
 func insertPending(t *testing.T, fc *FIGCache, ch *dram.Channel, loc dram.Location) memctrl.RelocPlan {
 	t.Helper()
-	plan := fc.Insert(ch, loc, 0)
-	if plan == nil {
+	plan, ok := fc.Insert(ch, loc, 0)
+	if !ok {
 		t.Fatalf("insert of row %d refused", loc.Row)
 	}
-	return *plan
+	return plan
 }
 
 // TestInFlightInsertion walks a segment through the window between
@@ -39,7 +39,7 @@ func TestInFlightInsertion(t *testing.T) {
 			if _, hit := fc.Lookup(loc, false); hit {
 				t.Error("reserved segment hit before Commit")
 			}
-			if fc.Insert(ch, loc, 0) != nil {
+			if _, ok := fc.Insert(ch, loc, 0); ok {
 				t.Error("second insertion of an in-flight segment returned a plan")
 			}
 			// Every further insertion must evict a valid segment, never
@@ -47,7 +47,7 @@ func TestInFlightInsertion(t *testing.T) {
 			for i := 0; i < 14; i++ {
 				insertNow(fc, ch, dram.Location{Row: 300 + i})
 			}
-			fc.Commit(&pending)
+			fc.Commit(pending)
 			if _, hit := fc.Lookup(loc, false); !hit {
 				t.Error("committed segment missed")
 			}
@@ -84,14 +84,14 @@ func TestInsertRefusedWhenAllReserved(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				plans = append(plans, insertPending(t, fc, ch, dram.Location{Row: 100 + i}))
 			}
-			if fc.Insert(ch, dram.Location{Row: 500}, 0) != nil {
+			if _, ok := fc.Insert(ch, dram.Location{Row: 500}, 0); ok {
 				t.Error("insertion into a fully reserved bank returned a plan")
 			}
 			if fc.Evictions != 0 {
 				t.Errorf("Evictions = %d, want 0", fc.Evictions)
 			}
-			for i := range plans {
-				fc.Commit(&plans[i])
+			for _, p := range plans {
+				fc.Commit(p)
 			}
 			for i := 0; i < 8; i++ {
 				if _, hit := fc.Lookup(dram.Location{Row: 100 + i}, false); !hit {
@@ -155,11 +155,11 @@ func TestSnapshotWhileReserved(t *testing.T) {
 		if _, hit := c.Lookup(loc, false); hit {
 			t.Error("reserved segment hit before Commit")
 		}
-		if c.Insert(ch, loc, 0) != nil {
+		if _, ok := c.Insert(ch, loc, 0); ok {
 			t.Error("duplicate insertion of the in-flight segment returned a plan")
 		}
 		insertNow(c, ch, dram.Location{Row: 300})
-		c.Commit(&pending)
+		c.Commit(pending)
 		if _, hit := c.Lookup(loc, false); !hit {
 			t.Error("committed segment missed")
 		}

@@ -67,8 +67,8 @@ func TestLISAHotThresholdInsertion(t *testing.T) {
 func TestLISARowGranularityCaching(t *testing.T) {
 	l, ch := newTestLISA(t, nil)
 	loc := dram.Location{Row: 77, Block: 3}
-	plan := insertNow(l, ch, loc)
-	if plan == nil {
+	plan, ok := insertNow(l, ch, loc)
+	if !ok {
 		t.Fatal("Insert returned nil")
 	}
 	if !plan.IsLISA || plan.Hops < 1 || plan.Blocks != 0 || plan.ChannelWide {
@@ -117,8 +117,8 @@ func TestLISAEvictionLRUAndWriteBack(t *testing.T) {
 	l.Lookup(dram.Location{Row: 1, Block: 0}, false)
 	// Third insertion evicts row 2 (LRU) and pays its write-back over the
 	// victim's own hop distance.
-	plan := insertNow(l, ch, dram.Location{Row: 3})
-	if plan == nil {
+	plan, ok := insertNow(l, ch, dram.Location{Row: 3})
+	if !ok {
 		t.Fatal("insert returned nil")
 	}
 	if l.Evictions != 1 || l.WriteBacks != 1 {
@@ -178,10 +178,10 @@ func TestNoDecayKeepsMissCounts(t *testing.T) {
 
 func TestLISADoubleInsertNoop(t *testing.T) {
 	l, ch := newTestLISA(t, nil)
-	if insertNow(l, ch, dram.Location{Row: 5}) == nil {
+	if _, ok := insertNow(l, ch, dram.Location{Row: 5}); !ok {
 		t.Fatal("first insert failed")
 	}
-	if insertNow(l, ch, dram.Location{Row: 5, Block: 100}) != nil {
+	if _, ok := insertNow(l, ch, dram.Location{Row: 5, Block: 100}); ok {
 		t.Error("duplicate insert of the same row returned a plan")
 	}
 }

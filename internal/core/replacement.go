@@ -51,10 +51,9 @@ func newReplacer(kind ReplacementKind, seed uint64) *replacer {
 	return &replacer{kind: kind, rng: splitmix64(seed)}
 }
 
-// victim returns the slot to evict from f, or -1 when nothing is
-// evictable (every slot reserved by in-flight insertions). The caller
-// guarantees the cache has no free slots. Reserved slots are never
-// chosen.
+// victim returns the valid slot to evict from f, or -1 when no slot is
+// valid (every slot reserved by in-flight insertions). The caller
+// guarantees the cache has no free slots.
 func (r *replacer) victim(f *FTS) int {
 	switch r.kind {
 	case ReplRowBenefit:
@@ -63,7 +62,7 @@ func (r *replacer) victim(f *FTS) int {
 		best, bestBenefit := -1, int(^uint(0)>>1)
 		for i := 0; i < f.Slots(); i++ {
 			e := f.entry(i)
-			if e.valid && !f.IsReserved(i) && int(e.benefit) < bestBenefit {
+			if e.valid && int(e.benefit) < bestBenefit {
 				best, bestBenefit = i, int(e.benefit)
 			}
 		}
@@ -72,7 +71,7 @@ func (r *replacer) victim(f *FTS) int {
 		best, bestUse := -1, int64(1)<<62
 		for i := 0; i < f.Slots(); i++ {
 			e := f.entry(i)
-			if e.valid && !f.IsReserved(i) && e.lastUse < bestUse {
+			if e.valid && e.lastUse < bestUse {
 				best, bestUse = i, e.lastUse
 			}
 		}
@@ -80,7 +79,7 @@ func (r *replacer) victim(f *FTS) int {
 	case ReplRandom:
 		anyEvictable := false
 		for i := 0; i < f.Slots(); i++ {
-			if f.entry(i).valid && !f.IsReserved(i) {
+			if f.entry(i).valid {
 				anyEvictable = true
 				break
 			}
@@ -90,7 +89,7 @@ func (r *replacer) victim(f *FTS) int {
 		}
 		for {
 			i := int(r.rng.next() % uint64(f.Slots()))
-			if f.entry(i).valid && !f.IsReserved(i) {
+			if f.entry(i).valid {
 				return i
 			}
 		}
@@ -111,23 +110,23 @@ func (r *replacer) rowBenefitVictim(f *FTS) int {
 		r.draining = false
 	}
 	// Select a new row: lowest cumulative benefit across all cache rows
-	// that still hold evictable (valid, unreserved) segments.
+	// that still hold valid segments.
 	bestRow := f.minBenefitRow(func(row int) bool {
 		for s := row * f.SegsPerRow(); s < (row+1)*f.SegsPerRow(); s++ {
-			if f.entry(s).valid && !f.IsReserved(s) {
+			if f.entry(s).valid {
 				return true
 			}
 		}
 		return false
 	})
 	if bestRow < 0 {
-		return -1 // every valid slot is reserved by in-flight insertions
+		return -1 // every slot is reserved by in-flight insertions
 	}
 	r.evictRow = bestRow
 	r.evictMask = 0
 	for off := 0; off < f.SegsPerRow(); off++ {
 		slot := bestRow*f.SegsPerRow() + off
-		if f.entry(slot).valid && !f.IsReserved(slot) {
+		if f.entry(slot).valid {
 			r.evictMask |= 1 << uint(off)
 		}
 	}
@@ -146,9 +145,8 @@ func (r *replacer) lowestMarked(f *FTS) (int, bool) {
 		}
 		slot := r.evictRow*f.SegsPerRow() + off
 		e := f.entry(slot)
-		if !e.valid || f.IsReserved(slot) {
-			// Already evicted or claimed by an in-flight insertion since
-			// the mask was built; drop the mark.
+		if !e.valid {
+			// Evicted since the mask was built; drop the mark.
 			r.evictMask &^= 1 << uint(off)
 			continue
 		}

@@ -19,26 +19,22 @@ func sortedKeys[K ~uint64, V any](m map[K]V) []K {
 	return keys
 }
 
-// Snapshot appends the tag store's mutable state: every entry, the
-// logical clock, in-flight reservations, and hit/miss counters. The
-// index and row benefit sums are derived and rebuilt on restore.
+// Snapshot appends the tag store's mutable state: every entry (an
+// in-flight insertion is a reserved entry), the logical clock, and the
+// hit/miss counters. The index and row benefit sums are derived and
+// rebuilt on restore.
 func (f *FTS) Snapshot(w *fgss.Writer) {
 	w.Int(len(f.entries))
 	for i := range f.entries {
 		e := &f.entries[i]
 		w.U64(uint64(e.key))
 		w.Bool(e.valid)
+		w.Bool(e.reserved)
 		w.Bool(e.dirty)
 		w.U64(uint64(e.benefit))
 		w.I64(e.lastUse)
 	}
 	w.I64(f.clock)
-	w.Int(f.nReserved)
-	for i := range f.reserved {
-		if f.reserved[i] {
-			w.Int(i)
-		}
-	}
 	w.I64(f.Hits)
 	w.I64(f.Misses)
 }
@@ -57,21 +53,18 @@ func (f *FTS) Restore(r *fgss.Reader) {
 		e := &f.entries[i]
 		e.key = segKey(r.U64())
 		e.valid = r.Bool()
+		e.reserved = r.Bool()
 		e.dirty = r.Bool()
 		e.benefit = uint8(r.U64())
 		e.lastUse = r.I64()
-		if e.valid {
+		if e.valid || e.reserved {
 			f.index[e.key] = i
+		}
+		if e.valid {
 			f.rowSums[f.RowOfSlot(i)] += int(e.benefit)
 		}
 	}
 	f.clock = r.I64()
-	clear(f.reserved)
-	f.nReserved = 0
-	nres := r.Int()
-	for i := 0; i < nres && r.Err() == nil; i++ {
-		f.Reserve(r.Int())
-	}
 	f.Hits = r.I64()
 	f.Misses = r.I64()
 }
@@ -93,9 +86,9 @@ func (r *replacer) restore(rd *fgss.Reader) {
 }
 
 // Snapshot appends the cache's full mutable state, bank by bank: tag
-// store, replacement state, threshold miss counters and their decay
-// epoch, in-flight insertion markers, then the aggregate counters. Maps
-// are emitted in sorted-key order for deterministic output.
+// store (in-flight insertions included), replacement state, threshold
+// miss counters and their decay epoch, then the aggregate counters. The
+// miss counters are emitted in sorted-key order for deterministic output.
 func (c *FIGCache) Snapshot(w *fgss.Writer) {
 	w.Int(len(c.banks))
 	for _, b := range c.banks {
@@ -107,10 +100,6 @@ func (c *FIGCache) Snapshot(w *fgss.Writer) {
 			w.Int(b.missCounts[k])
 		}
 		w.Int(b.decayEpoch)
-		w.Int(len(b.inflight))
-		for _, k := range sortedKeys(b.inflight) {
-			w.U64(uint64(k))
-		}
 	}
 	w.I64(c.Insertions)
 	w.I64(c.Evictions)
@@ -134,11 +123,6 @@ func (c *FIGCache) Restore(r *fgss.Reader) {
 			b.missCounts[k] = r.Int()
 		}
 		b.decayEpoch = r.Int()
-		clear(b.inflight)
-		n = r.Int()
-		for i := 0; i < n && r.Err() == nil; i++ {
-			b.inflight[segKey(r.U64())] = true
-		}
 	}
 	c.Insertions = r.I64()
 	c.Evictions = r.I64()

@@ -5,7 +5,7 @@
 //
 //	offset  size  field
 //	0       4     magic "FGSS"
-//	4       2     format version (currently 1)
+//	4       2     format version (FormatVersion)
 //	6       2     reserved (zero)
 //	8       4     sim.EngineVersion of the writing build
 //	12      32    config fingerprint (sim.Config.Fingerprint)
@@ -42,8 +42,10 @@ const Magic = "FGSS"
 // whenever a layer's section payload changes layout, so an older
 // snapshot is refused at the header instead of being misread. Version 2:
 // LISA-VILLA state travels as a FIGCache hook, and every FIGCache bank
-// carries its miss-count decay epoch.
-const FormatVersion = 2
+// carries its miss-count decay epoch. Version 3: an in-flight insertion
+// is a reserved FTS entry (no separate reservation and in-flight lists),
+// and a deferred relocation plan carries no commit payload.
+const FormatVersion = 3
 
 // HeaderSize is the byte length of the fixed header.
 const HeaderSize = 44

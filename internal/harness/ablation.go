@@ -16,8 +16,6 @@ import (
 //     delays insertion RELOC bursts to row-close time so queued row hits
 //     are preserved (Section 8.1's latency argument); the ablation runs
 //     the naive execute-at-miss policy for comparison;
-//   - the idle-flush quiet window: how long a bank must be idle before
-//     deferred relocation work may use it;
 //   - the relocation substrate: FIGARO (bank-local, distance-independent)
 //     versus RowClone-PSM (Section 10's related-work mechanism, which
 //     copies over the shared global data bus and blocks all banks in the

@@ -24,9 +24,4 @@
 // fingerprint-ordered index, and RunJobs computes an arbitrary slice of
 // it through the result cache. See ARCHITECTURE.md "Distributed
 // dispatch" for the fleet workflow.
-//
-// RunSampled (sampled.go) is the sampled-execution workflow built on
-// the system checkpoint lifecycle: fast-forward to a region of
-// interest, snapshot (keeping the bytes for bit-exact re-entry), warm
-// up, and measure a window (SampledResult.WindowIPC).
 package harness

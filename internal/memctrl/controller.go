@@ -29,18 +29,14 @@ type CacheHook interface {
 	// containing loc, assuming the source row is currently open in its
 	// local row buffer. It returns the relocation work to perform:
 	// occupancy cycles for the bank and the number of RELOC column
-	// operations (or LISA hops). A nil plan means the insertion was
-	// cancelled (e.g. no evictable slot). The returned plan is valid
-	// only until the hook's next Insert call: the controller copies it
-	// into pooled storage immediately, which lets hooks return a pointer
-	// to a reused scratch plan instead of allocating per insertion.
-	Insert(ch *dram.Channel, loc dram.Location, now int64) *RelocPlan
+	// operations (or LISA hops). ok is false when the insertion was
+	// cancelled (already cached or in flight, or no evictable slot).
+	Insert(ch *dram.Channel, loc dram.Location, now int64) (plan RelocPlan, ok bool)
 
 	// Commit installs the cache tags for a plan this hook returned from
 	// Insert, at the moment the controller executes the relocation. The
-	// plan's CommitBank/CommitSlot/CommitRow/CommitSeg fields carry the
-	// hook-specific payload recorded at Insert time.
-	Commit(p *RelocPlan)
+	// hook finds what it recorded at Insert time from the plan's Loc.
+	Commit(p RelocPlan)
 }
 
 // RelocPlan describes in-DRAM relocation work the controller must apply to
@@ -49,10 +45,9 @@ type CacheHook interface {
 // installs the cache metadata at that point, so requests arriving while
 // the source row is still open keep being served from it (as row hits),
 // exactly as the paper's insertion sequence allows (Section 8.1). The plan
-// is plain data — the commit payload is carried in the Commit* fields
-// rather than a closure — so deferred plans survive a checkpoint.
+// is a plain value, so deferred plans survive a checkpoint.
 type RelocPlan struct {
-	Loc    dram.Location // bank being occupied
+	Loc    dram.Location // the inserted block: source row and bank being occupied
 	Cost   int64         // occupancy in bus cycles
 	Blocks int           // FIGARO RELOC column operations performed
 	Hops   int           // LISA inter-subarray hops performed
@@ -61,13 +56,6 @@ type RelocPlan struct {
 	// shared global data bus and occupies every bank in the channel, not
 	// just the source bank.
 	ChannelWide bool
-	// Commit payload, recorded by the hook's Insert and consumed by its
-	// Commit: the hook-local dense bank index, the reserved slot, and the
-	// source row (FIGCache additionally uses the segment index).
-	CommitBank int
-	CommitSlot int
-	CommitRow  int
-	CommitSeg  int
 }
 
 // Config holds the controller parameters from Table 1.
@@ -87,10 +75,10 @@ type Config struct {
 	// deferred design is ablated against: it steals row hits from queued
 	// requests and occupies hot banks at their busiest moment.
 	ImmediateReloc bool
-	// LatSampleCap bounds the per-controller read-latency sample
-	// reservoir; 0 selects the default (2048 samples).
-	LatSampleCap int
 }
+
+// latSampleCap bounds the per-controller read-latency sample reservoir.
+const latSampleCap = 2048
 
 // DefaultConfig returns the 64-entry read/write queues from Table 1.
 func DefaultConfig() Config {
@@ -120,13 +108,7 @@ type Controller struct {
 	// Deferring keeps the row open for queued row hits — the RELOCs only
 	// need the row in the local row buffer, and the controller schedules
 	// them when no column commands are pending (Section 8.1).
-	pendingRelocs [][]*RelocPlan
-	// planPool recycles RelocPlan storage: issueColumn copies each plan
-	// the hook returns into a pooled object, and flushRelocs returns the
-	// objects after Commit, so steady-state relocation traffic allocates
-	// nothing.
-	//fglint:preserved recycled plans are fully overwritten before reuse and never carry state across runs
-	planPool []*RelocPlan
+	pendingRelocs [][]RelocPlan
 	// relocBanks counts banks with pending relocation plans, so idle
 	// ticks skip the per-bank scan when there is no deferred work.
 	relocBanks int
@@ -172,9 +154,6 @@ type Controller struct {
 // NewController builds a controller over the channel. cache may be nil for
 // the Base configuration.
 func NewController(id int, cfg Config, ch *dram.Channel, cache CacheHook) *Controller {
-	if cfg.LatSampleCap == 0 {
-		cfg.LatSampleCap = 2048
-	}
 	return &Controller{
 		ID:            id,
 		cfg:           cfg,
@@ -182,13 +161,13 @@ func NewController(id int, cfg Config, ch *dram.Channel, cache CacheHook) *Contr
 		cache:         cache,
 		readQ:         newQueue(cfg.ReadQueueDepth, ch.NumBanks()),
 		writeQ:        newQueue(cfg.WriteQueueDepth, ch.NumBanks()),
-		pendingRelocs: make([][]*RelocPlan, ch.NumBanks()),
+		pendingRelocs: make([][]RelocPlan, ch.NumBanks()),
 		lastColumn:    make([]int64, ch.NumBanks()),
 		cands:         make([]colCand, 0, ch.NumBanks()),
 		lastTick:      -1,
 		// Seed by controller ID so per-channel reservoirs differ but any
 		// two runs of the same configuration sample identically.
-		latSamples: stats.NewReservoir(cfg.LatSampleCap, uint64(id)+1),
+		latSamples: stats.NewReservoir(latSampleCap, uint64(id)+1),
 	}
 }
 
@@ -197,26 +176,18 @@ func (c *Controller) Channel() *dram.Channel { return c.channel }
 
 // Reset returns the controller to its freshly constructed state over the
 // same channel, with a new configuration and cache hook, reusing every
-// allocation (queues, per-bank relocation/claim/last-column arrays, the
+// allocation (queues, per-bank relocation-plan and last-column arrays, the
 // latency reservoir). Queued requests are dropped without Release: their
 // creator resets its own pool alongside this call. The caller must Reset
 // the channel itself separately.
 func (c *Controller) Reset(cfg Config, cache CacheHook) {
-	if cfg.LatSampleCap == 0 {
-		cfg.LatSampleCap = 2048
-	}
 	c.cfg = cfg
 	c.cache = cache
 	c.readQ.reset(cfg.ReadQueueDepth)
 	c.writeQ.reset(cfg.WriteQueueDepth)
 	c.writing = false
 	for i := range c.pendingRelocs {
-		plans := c.pendingRelocs[i]
-		for j, p := range plans {
-			c.planPool = append(c.planPool, p)
-			plans[j] = nil
-		}
-		c.pendingRelocs[i] = plans[:0]
+		c.pendingRelocs[i] = c.pendingRelocs[i][:0]
 	}
 	c.relocBanks = 0
 	for i := range c.lastColumn {
@@ -228,7 +199,7 @@ func (c *Controller) Reset(cfg Config, cache CacheHook) {
 	c.ReadLatencySum, c.Inserted, c.QueueFullStalls = 0, 0, 0
 	c.MaxReadQ, c.MaxWriteQ = 0, 0
 	c.WritingCycles = 0
-	c.latSamples.Reset(cfg.LatSampleCap, uint64(c.ID)+1)
+	c.latSamples.Reset(latSampleCap, uint64(c.ID)+1)
 }
 
 // AccountSkippedTail credits the write-drain diagnostic for no-op ticks
@@ -432,22 +403,7 @@ func (c *Controller) flushRelocs(bankID int, now int64, rowOpen bool) bool {
 	} else {
 		c.channel.Relocate(plans[0].Loc, now, cost, blocks, isLISA, hops)
 	}
-	for i, p := range plans {
-		c.planPool = append(c.planPool, p)
-		plans[i] = nil
-	}
 	return true
-}
-
-// takePlan returns a recycled RelocPlan from the pool, or a fresh one
-// when the pool is empty. Callers fully overwrite the plan.
-func (c *Controller) takePlan() *RelocPlan {
-	if n := len(c.planPool); n > 0 {
-		p := c.planPool[n-1]
-		c.planPool = c.planPool[:n-1]
-		return p
-	}
-	return new(RelocPlan)
 }
 
 // relocFlushReady returns the earliest bus cycle at which the bank's
@@ -685,18 +641,14 @@ func (c *Controller) issueColumn(q *queue, i int, r *Request, now int64, schedul
 	// buffer, so the relocation skips the first ACTIVATE (Section 8.1).
 	// The relocation work is deferred until the row is about to close so
 	// it does not steal row hits from queued requests. A zero-cost plan
-	// (the FIGCache-Ideal configuration) updates metadata only.
+	// (FIGCache-Ideal's substrate) updates metadata only.
 	if c.cache != nil && !r.CacheHit && !r.noInsert && !r.ServiceLoc.CacheRow {
-		if plan := c.cache.Insert(c.channel, r.Loc, now); plan != nil {
-			// The hook's plan is scratch, valid only until its next
-			// Insert; keep a pooled copy (see CacheHook.Insert).
-			p := c.takePlan()
-			*p = *plan
-			id := p.Loc.BankID(c.channel.Geo)
+		if plan, ok := c.cache.Insert(c.channel, r.Loc, now); ok {
+			id := plan.Loc.BankID(c.channel.Geo)
 			if len(c.pendingRelocs[id]) == 0 {
 				c.relocBanks++
 			}
-			c.pendingRelocs[id] = append(c.pendingRelocs[id], p)
+			c.pendingRelocs[id] = append(c.pendingRelocs[id], plan)
 			c.Inserted++
 			if c.cfg.ImmediateReloc {
 				c.flushRelocs(id, now, true)

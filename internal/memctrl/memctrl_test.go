@@ -290,14 +290,14 @@ func (f *fakeCache) Lookup(loc dram.Location, isWrite bool) (dram.Location, bool
 
 func (f *fakeCache) ShouldInsert(loc dram.Location) bool { return f.insertAll }
 
-func (f *fakeCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *RelocPlan {
+func (f *fakeCache) Insert(ch *dram.Channel, loc dram.Location, now int64) (RelocPlan, bool) {
 	f.inserted++
 	redirect := dram.Location{Rank: loc.Rank, Group: loc.Group, Bank: loc.Bank, Row: 0, CacheRow: true}
 	f.cached[key(loc)] = redirect
-	return &RelocPlan{Loc: loc, Cost: f.relocCost, Blocks: f.blocks}
+	return RelocPlan{Loc: loc, Cost: f.relocCost, Blocks: f.blocks}, true
 }
 
-func (f *fakeCache) Commit(p *RelocPlan) {}
+func (f *fakeCache) Commit(p RelocPlan) {}
 
 func TestCacheHookHitRedirects(t *testing.T) {
 	fc := &fakeCache{cached: map[uint64]dram.Location{}, insertAll: true, relocCost: 30, blocks: 16}

@@ -31,16 +31,16 @@ func (p *planCache) Lookup(loc dram.Location, isWrite bool) (dram.Location, bool
 
 func (p *planCache) ShouldInsert(loc dram.Location) bool { return true }
 
-func (p *planCache) Insert(ch *dram.Channel, loc dram.Location, now int64) *RelocPlan {
+func (p *planCache) Insert(ch *dram.Channel, loc dram.Location, now int64) (RelocPlan, bool) {
 	k := p.key(loc)
 	if p.inflight[k] {
-		return nil
+		return RelocPlan{}, false
 	}
 	p.inflight[k] = true
-	return &RelocPlan{Loc: loc, Cost: p.cost, Blocks: 16}
+	return RelocPlan{Loc: loc, Cost: p.cost, Blocks: 16}, true
 }
 
-func (p *planCache) Commit(plan *RelocPlan) {
+func (p *planCache) Commit(plan RelocPlan) {
 	loc := plan.Loc
 	k := p.key(loc)
 	delete(p.inflight, k)

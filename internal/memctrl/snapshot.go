@@ -118,31 +118,23 @@ func (q *queue) restore(rd *fgss.Reader, ch *dram.Channel) {
 	}
 }
 
-func snapPlan(w *fgss.Writer, p *RelocPlan) {
+func snapPlan(w *fgss.Writer, p RelocPlan) {
 	snapLoc(w, p.Loc)
 	w.I64(p.Cost)
 	w.Int(p.Blocks)
 	w.Int(p.Hops)
 	w.Bool(p.IsLISA)
 	w.Bool(p.ChannelWide)
-	w.Int(p.CommitBank)
-	w.Int(p.CommitSlot)
-	w.Int(p.CommitRow)
-	w.Int(p.CommitSeg)
 }
 
-func restorePlan(r *fgss.Reader) *RelocPlan {
-	p := &RelocPlan{}
+func restorePlan(r *fgss.Reader) RelocPlan {
+	var p RelocPlan
 	p.Loc = restoreLoc(r)
 	p.Cost = r.I64()
 	p.Blocks = r.Int()
 	p.Hops = r.Int()
 	p.IsLISA = r.Bool()
 	p.ChannelWide = r.Bool()
-	p.CommitBank = r.Int()
-	p.CommitSlot = r.Int()
-	p.CommitRow = r.Int()
-	p.CommitSeg = r.Int()
 	return p
 }
 
@@ -193,7 +185,7 @@ func (c *Controller) Restore(r *fgss.Reader) {
 	}
 	c.relocBanks = 0
 	for i := range c.pendingRelocs {
-		c.pendingRelocs[i] = nil
+		c.pendingRelocs[i] = c.pendingRelocs[i][:0]
 		n := r.Int()
 		for j := 0; j < n && r.Err() == nil; j++ {
 			c.pendingRelocs[i] = append(c.pendingRelocs[i], restorePlan(r))

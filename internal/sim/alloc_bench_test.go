@@ -47,12 +47,11 @@ func BenchmarkAccessPathAllocs(b *testing.B) {
 
 // BenchmarkAccessPathAllocsReloc drives the access path with an active
 // relocation preset, so the steady state additionally covers the cache
-// hook's insertion decisions, the controller's pooled RelocPlan copies
-// (the hook returns a pointer to reused scratch; the controller copies
-// it into a pooled object and recycles the object after Commit), and
-// the per-bank pending-plan slices whose backing arrays survive each
-// flush. Relocation traffic is continuous for mcf under FIGCache-Fast,
-// so a single allocation per insertion would show up immediately.
+// hook's insertion decisions and reservations, the RelocPlan values it
+// returns, and the per-bank pending-plan slices that hold them, whose
+// backing arrays survive each flush. Relocation traffic is continuous
+// for mcf under FIGCache-Fast, so a single allocation per insertion
+// would show up immediately.
 func BenchmarkAccessPathAllocsReloc(b *testing.B) {
 	spec, err := workload.ByName("mcf")
 	if err != nil {
@@ -67,8 +66,8 @@ func BenchmarkAccessPathAllocsReloc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Relocation state (hook maps, plan pool, pending-plan slices) takes
-	// longer to reach steady capacity than the pools alone.
+	// Relocation state (hook maps, pending-plan slices) takes longer to
+	// reach steady capacity than the pools alone.
 	s.runSkippingUntil(1_200_000, 0)
 
 	allocs := testing.AllocsPerRun(5, func() {

@@ -28,7 +28,7 @@ const (
 	// (Figure 2b).
 	FIGCacheFast
 	// FIGCacheIdeal: FIGCacheFast with zero-latency relocation (an
-	// idealized upper bound for the insertion cost).
+	// idealized upper bound for the insertion cost; core.SubstrateIdeal).
 	FIGCacheIdeal
 	// LLDRAM: every subarray is fast (idealized low-latency DRAM).
 	LLDRAM
@@ -78,7 +78,9 @@ type Config struct {
 
 	// FIG overrides the FIGCache parameters for the FIGCache presets
 	// (sensitivity studies of Section 9). Nil selects the paper default.
-	// LISA-VILLA always runs core.LISAVillaConfig.
+	// LISA-VILLA always runs core.LISAVillaConfig; FIGCache-Slow always
+	// reserves subarray 0, and FIGCache-Ideal always relocates on
+	// core.SubstrateIdeal.
 	FIG *core.FIGCacheConfig
 	// FastSubarrays overrides the number of fast subarrays per bank for
 	// FIGCacheFast (Figure 12's capacity sweep). Zero selects the default
@@ -175,47 +177,20 @@ func (c *Config) buildHook(geo dram.Geometry) (memctrl.CacheHook, error) {
 		if c.FIG == nil {
 			fcfg.CacheRowsPerBank = geo.FastSubarrays * geo.RowsPerFastSubarray
 		}
-		hook, err := core.NewFIGCache(fcfg, geo)
-		if err != nil {
-			return nil, err
-		}
 		if c.Preset == FIGCacheIdeal {
-			return &idealHook{inner: hook}, nil
+			fcfg.Substrate = core.SubstrateIdeal
 		}
-		return hook, nil
+		return core.NewFIGCache(fcfg, geo)
 	default:
 		return nil, fmt.Errorf("sim: unhandled preset %v", c.Preset)
 	}
 }
 
-// idealHook wraps FIGCache and zeroes all relocation costs: the
-// FIGCache-Ideal configuration of Section 8.
-type idealHook struct{ inner *core.FIGCache }
-
-func (h *idealHook) Lookup(loc dram.Location, isWrite bool) (dram.Location, bool) {
-	return h.inner.Lookup(loc, isWrite)
-}
-func (h *idealHook) ShouldInsert(loc dram.Location) bool { return h.inner.ShouldInsert(loc) }
-func (h *idealHook) Insert(ch *dram.Channel, loc dram.Location, now int64) *memctrl.RelocPlan {
-	plan := h.inner.Insert(ch, loc, now)
-	if plan != nil {
-		plan.Cost = 0
-	}
-	return plan
-}
-func (h *idealHook) Commit(p *memctrl.RelocPlan) { h.inner.Commit(p) }
-
-// FIGCacheOf extracts the FIGCache from a hook, unwrapping the ideal
-// wrapper; nil for presets without an in-DRAM cache.
+// FIGCacheOf returns the FIGCache behind a hook; nil for presets without
+// an in-DRAM cache.
 func FIGCacheOf(h memctrl.CacheHook) *core.FIGCache {
-	switch v := h.(type) {
-	case *core.FIGCache:
-		return v
-	case *idealHook:
-		return v.inner
-	default:
-		return nil
-	}
+	fc, _ := h.(*core.FIGCache)
+	return fc
 }
 
 // hierarchyConfig returns Table 1's SRAM hierarchy for the mix size.

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/workload"
 )
@@ -97,18 +98,20 @@ func TestIdealHookZeroesCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := hook.Insert(ch, dram.Location{Row: 7}, 0)
-	if plan == nil {
+	if got := FIGCacheOf(hook).Config().Substrate; got != core.SubstrateIdeal {
+		t.Errorf("FIGCache-Ideal substrate = %v, want %v", got, core.SubstrateIdeal)
+	}
+	plan, ok := hook.Insert(ch, dram.Location{Row: 7}, 0)
+	if !ok {
 		t.Fatal("ideal hook refused an insertion")
 	}
-	if plan.Cost != 0 {
-		t.Errorf("ideal plan cost = %d, want 0", plan.Cost)
+	// The RELOCs of one FIGARO segment insertion, counted at no cost.
+	if plan.Cost != 0 || plan.Blocks != 16 || plan.IsLISA || plan.ChannelWide {
+		t.Errorf("ideal plan = %+v, want 16 free FIGARO RELOCs", plan)
 	}
-	// Committing through the ideal wrapper must reach the inner FIGCache:
-	// the inserted segment becomes visible to Lookup.
 	hook.Commit(plan)
 	if _, hit := hook.Lookup(dram.Location{Row: 7}, false); !hit {
-		t.Error("ideal hook did not commit the insertion to the inner cache")
+		t.Error("ideal hook did not commit the insertion")
 	}
 }
 

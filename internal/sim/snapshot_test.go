@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // snapshotAt builds a system, runs it to k total retired instructions,
@@ -50,32 +52,46 @@ func TestRestoreRefusesMismatchedConfig(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesOldFormat restores a LISA-VILLA snapshot written in
-// FGSS format 1, when LISA-VILLA had its own hook payload. The config
-// and engine version still match, so only the format version keeps the
-// old hook section from being misread; restore must fail with an error.
+// TestRestoreRefusesOldFormat restores snapshots written by earlier
+// builds in older FGSS formats: a LISA-VILLA snapshot in format 1, when
+// LISA-VILLA had its own hook payload, and a FIGCache-Fast snapshot in
+// format 2, taken with insertions in flight, when reservations and
+// relocation plans had their own encoding. The config and engine version
+// still match, so only the format version keeps the old sections from
+// being misread; restore must fail with an error.
 func TestRestoreRefusesOldFormat(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "lisa-format1.fgss.gz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(LISAVilla, smallMix(t, "mcf"))
-	cfg.TargetInsts = 3_000
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sys.Restore(zr)
-	if err == nil {
-		t.Fatal("restored a format-1 snapshot, want a format version refusal")
-	}
-	if !strings.Contains(err.Error(), "format version 1") {
-		t.Errorf("old-format error = %q, want it to name format version 1", err)
+	for _, c := range []struct {
+		file    string
+		preset  Preset
+		version string
+	}{
+		{"lisa-format1.fgss.gz", LISAVilla, "format version 1"},
+		{"figcache-format2.fgss.gz", FIGCacheFast, "format version 2"},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			f, err := os.Open(filepath.Join("testdata", c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			zr, err := gzip.NewReader(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(c.preset, smallMix(t, "mcf"))
+			cfg.TargetInsts = 3_000
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = sys.Restore(zr)
+			if err == nil {
+				t.Fatalf("restored an old snapshot, want a refusal naming %s", c.version)
+			}
+			if !strings.Contains(err.Error(), c.version) {
+				t.Errorf("old-format error = %q, want it to name %s", err, c.version)
+			}
+		})
 	}
 }
 
@@ -200,5 +216,39 @@ func TestCheckpointWithInsertionInFlight(t *testing.T) {
 				t.Errorf("restored run diverges:\n want: %+v\n  got: %+v", want, got)
 			}
 		})
+	}
+}
+
+// BenchmarkSnapshotRoundTrip measures the cost of one checkpoint cycle
+// — serializing a warm system at the figures' default 1M-instruction
+// scale and restoring it in place — plus its allocation footprint and
+// snapshot size.
+func BenchmarkSnapshotRoundTrip(b *testing.B) {
+	spec, err := workload.ByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(FIGCacheFast, workload.Mix{Name: "mcf", Apps: workload.Sources(spec)})
+	cfg.TargetInsts = 1_000_000
+	sys, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.RunUntilRetired(cfg.TargetInsts / 4) // warm every structure first
+	var buf bytes.Buffer
+	if err := sys.Snapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(buf.Len()), "snapshot-bytes")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := sys.Snapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
